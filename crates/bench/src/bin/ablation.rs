@@ -1,4 +1,5 @@
-//! Ablation studies beyond the paper's tables (DESIGN.md §4, "Ablations"):
+//! Ablation studies beyond the paper's tables (see `PAPER.md` for the
+//! paper's own evaluation):
 //!
 //! 1. **Heuristic**: Definition 4.1's sync-aware scoring vs. naive
 //!    nearest-to-target splitting — sync-section length and workload

@@ -5,8 +5,8 @@
 //! on 16 threads. GPU experiments (paper: RTX 2080 Ti, CUDA): multians
 //! decodes (f), Conventional (b) and Recoil (c) at 2176-way parallelism —
 //! here run as a thread-pool "GPU-sim" over the identical per-split code
-//! path (substitution notes in DESIGN.md; absolute GB/s is hardware,
-//! relative shape is the claim).
+//! path (the thread-pool substrate is described in `README.md`; absolute
+//! GB/s is hardware, relative shape is the claim).
 //!
 //! ```sh
 //! cargo run -p recoil-bench --release --bin fig7

@@ -3,8 +3,8 @@
 use std::io::Write;
 use std::path::Path;
 
-/// One measured data point, written to `results/<experiment>.json` so
-/// `EXPERIMENTS.md` can cite exact numbers.
+/// One measured data point, written to `results/<experiment>.json` so the
+/// result tables in `README.md` can cite exact numbers.
 #[derive(Debug, Clone)]
 pub struct Record {
     /// Table/figure id, e.g. `"table5"`, `"fig7-gpu"`.

@@ -2,9 +2,8 @@
 
 use crate::container::ConventionalContainer;
 use crate::encode::OffsetProvider;
-use parking_lot::Mutex;
 use recoil_models::{ModelProvider, Symbol};
-use recoil_parallel::ThreadPool;
+use recoil_parallel::{run_segments, ThreadPool};
 use recoil_rans::{decode_interleaved_into, RansError};
 
 /// Decodes all partitions, optionally on a pool, into a fresh buffer.
@@ -33,36 +32,10 @@ pub fn decode_conventional_into<S: Symbol, P: ModelProvider>(
         )));
     }
     let bounds = container.symbol_bounds();
-    let tasks = container.chunks.len();
-
-    let mut segments: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = out;
-    for m in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
-        segments.push(Mutex::new(seg));
-        rest = tail;
-    }
-
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |m: usize| {
+    run_segments(pool, &bounds, out, |m, seg| {
         let local = OffsetProvider::new(provider, bounds[m]);
-        let mut seg = segments[m].lock();
-        if let Err(e) = decode_interleaved_into(&container.chunks[m], &local, &mut seg) {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+        decode_interleaved_into(&container.chunks[m], &local, seg)
+    })
 }
 
 #[cfg(test)]

@@ -2,10 +2,8 @@
 //! pluggable decode backends.
 //!
 //! The paper's whole point is that **one** encoded bitstream serves every
-//! decoder capability; this module makes the API match. Instead of the
-//! positional free functions of the seed code
-//! (`encode_with_splits(data, provider, 32, 64)` and four divergent
-//! `decode_*` entry points), callers configure a reusable [`Codec`] once:
+//! decoder capability; this module makes the API match. Callers configure
+//! a reusable [`Codec`] once and pick how decoding runs per backend:
 //!
 //! ```
 //! use recoil_core::codec::{Codec, PooledBackend};
@@ -23,22 +21,22 @@
 //! assert_eq!(decoded, data);
 //! ```
 //!
-//! Decoding goes through the object-safe [`DecodeBackend`] trait:
-//! [`ScalarBackend`] and [`PooledBackend`] live here; the SIMD crate adds
-//! `Avx2Backend`, `Avx512Backend`, and a runtime-dispatching `AutoBackend`.
-//! Every error on this surface is a typed [`RecoilError`] — configuration
-//! mistakes are rejected at [`CodecBuilder::build`], not deep inside a
-//! decode loop.
+//! Decoding goes through the object-safe [`DecodeBackend`] trait, whose one
+//! required method decodes a segment range; [`ScalarBackend`] and
+//! [`PooledBackend`] live here, and the SIMD crate adds `Avx2Backend`,
+//! `Avx512Backend`, and a runtime-dispatching `AutoBackend`. Every error on
+//! this surface is a typed [`RecoilError`] — configuration mistakes are
+//! rejected at [`CodecBuilder::build`], not deep inside a decode loop.
 
 use crate::container::RecoilContainer;
-use crate::decoder::{decode_into_impl, decode_segments_impl};
+use crate::decoder::{decode_segments_with, scalar_kernel};
 use crate::encoder::{encode_container, encode_container_pooled};
 use crate::error::RecoilError;
 use crate::metadata::RecoilMetadata;
 use crate::planner::{Heuristic, PlannerConfig};
 use recoil_models::{CdfTable, ModelProvider, StaticModelProvider, Symbol, MAX_QUANT_BITS};
 use recoil_parallel::ThreadPool;
-use recoil_rans::EncodedStream;
+use recoil_rans::{EncodedStream, RansError};
 use std::ops::Range;
 
 /// Validated encoder configuration: everything the encode side of a
@@ -134,13 +132,45 @@ pub struct DecodeRequest<'a> {
     pub model: &'a StaticModelProvider,
 }
 
+/// A decode output buffer of either symbol width. It lets the one required
+/// [`DecodeBackend`] method take 8- and 16-bit output while the trait stays
+/// object-safe.
+pub enum SymbolsMut<'a> {
+    /// 8-bit symbols.
+    U8(&'a mut [u8]),
+    /// 16-bit symbols.
+    U16(&'a mut [u16]),
+}
+
+impl SymbolsMut<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Self::U8(out) => out.len(),
+            Self::U16(out) => out.len(),
+        }
+    }
+}
+
 /// An object-safe decode strategy.
 ///
-/// Implementations decide *how* the three-phase decode runs (serial, thread
-/// pool, AVX2/AVX-512 kernels, runtime dispatch); the bitstream and metadata
-/// are identical across all of them — that is the paper's decoder-adaptive
-/// scalability. Backends must produce bit-exact output; equivalence tests
-/// in `tests/` enforce it.
+/// Every Recoil decode is "run the three phases over segments `a..b`";
+/// backends differ only in how each segment task runs (serially, on a
+/// thread pool, or with vector kernels inside the task). So a backend
+/// implements one method, [`DecodeBackend::decode_segments`], and gets the
+/// rest as provided wrappers:
+///
+/// * [`decode_u8`](DecodeBackend::decode_u8) /
+///   [`decode_u16`](DecodeBackend::decode_u16) — the whole stream: an
+///   exact-length check plus the range `0..num_segments`;
+/// * [`decode_u8_segments`](DecodeBackend::decode_u8_segments) /
+///   [`decode_u16_segments`](DecodeBackend::decode_u16_segments) — the
+///   segment range at a fixed width;
+/// * [`decode_adaptive`](DecodeBackend::decode_adaptive) — per-position
+///   models, always the scalar engine, on [`DecodeBackend::pool`].
+///
+/// The bitstream and metadata are identical across backends — that is the
+/// paper's decoder-adaptive scalability. Backends must produce bit-exact
+/// output; equivalence tests in `tests/` enforce it.
 pub trait DecodeBackend: Send + Sync {
     /// Stable, lowercase backend name (used in errors and logs).
     fn name(&self) -> &'static str;
@@ -152,23 +182,11 @@ pub trait DecodeBackend: Send + Sync {
         true
     }
 
-    /// Decodes a byte stream into `out` (which must hold exactly
-    /// `stream.num_symbols` symbols).
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError>;
-
-    /// Decodes a 16-bit-symbol stream into `out`.
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError>;
-
-    /// Decodes a stream whose model varies per symbol position (the
-    /// hyperprior/latents path). Backends without an adaptive fast path
-    /// fall back to the scalar three-phase decoder.
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError>;
+    /// The thread pool segment tasks run on; `None` runs them serially on
+    /// the caller.
+    fn pool(&self) -> Option<&ThreadPool> {
+        None
+    }
 
     /// Decodes only the metadata segments in `segments` (a contiguous
     /// range), writing each segment's **absolutely indexed** region of
@@ -183,31 +201,86 @@ pub trait DecodeBackend: Send + Sync {
     /// stream). See [`crate::validate_segment_decode`] for the exact
     /// contract. Output must be bit-identical to the matching region of a
     /// full decode.
+    fn decode_segments(
+        &self,
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: SymbolsMut<'_>,
+    ) -> Result<(), RecoilError>;
+
+    /// Decodes a byte stream into `out` (which must hold exactly
+    /// `stream.num_symbols` symbols).
+    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
+        decode_whole(self, req, SymbolsMut::U8(out))
+    }
+
+    /// Decodes a 16-bit-symbol stream into `out`.
+    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
+        decode_whole(self, req, SymbolsMut::U16(out))
+    }
+
+    /// [`DecodeBackend::decode_segments`] into a byte buffer.
     fn decode_u8_segments(
         &self,
         req: &DecodeRequest<'_>,
         segments: Range<u64>,
         out: &mut [u8],
     ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
+        self.decode_segments(req, segments, SymbolsMut::U8(out))
     }
 
-    /// [`DecodeBackend::decode_u8_segments`] for 16-bit-symbol streams.
+    /// [`DecodeBackend::decode_segments`] into a 16-bit buffer.
     fn decode_u16_segments(
         &self,
         req: &DecodeRequest<'_>,
         segments: Range<u64>,
         out: &mut [u16],
     ) -> Result<(), RecoilError> {
-        decode_segments_pooled(req.stream, req.metadata, req.model, None, segments, out)
+        self.decode_segments(req, segments, SymbolsMut::U16(out))
+    }
+
+    /// Decodes a stream whose model varies per symbol position (the
+    /// hyperprior/latents path) with the scalar engine on
+    /// [`DecodeBackend::pool`] — per-symbol model indirection defeats flat
+    /// vector gathers.
+    fn decode_adaptive(
+        &self,
+        stream: &EncodedStream,
+        metadata: &RecoilMetadata,
+        provider: &dyn ModelProvider,
+        out: &mut [u16],
+    ) -> Result<(), RecoilError> {
+        decode_pooled(stream, metadata, provider, self.pool(), out)
     }
 }
 
-/// Building block for [`DecodeBackend`] implementations: the scalar (or
-/// thread-pooled) three-phase decode over any model provider.
+/// The whole-stream contract: `out` holds exactly the stream's symbols.
+fn check_whole(stream: &EncodedStream, out_len: usize) -> Result<(), RecoilError> {
+    if out_len as u64 != stream.num_symbols {
+        return Err(RecoilError::from(RansError::MalformedStream(format!(
+            "output buffer holds {out_len} symbols, stream has {}",
+            stream.num_symbols
+        ))));
+    }
+    Ok(())
+}
+
+/// Whole-stream decode through `backend`: the exact-length check plus the
+/// full segment range.
+fn decode_whole<B: DecodeBackend + ?Sized>(
+    backend: &B,
+    req: &DecodeRequest<'_>,
+    out: SymbolsMut<'_>,
+) -> Result<(), RecoilError> {
+    check_whole(req.stream, out.len())?;
+    backend.decode_segments(req, 0..req.metadata.num_segments(), out)
+}
+
+/// The scalar (or thread-pooled) three-phase decode of a whole stream over
+/// any model provider.
 ///
-/// Generic over the provider on purpose: backends that hold a concrete
-/// [`StaticModelProvider`] get a monomorphized decode loop whose LUT
+/// Generic over the provider on purpose: a concrete
+/// [`StaticModelProvider`] gets a monomorphized decode loop whose LUT
 /// lookup inlines into the fast loop (`recoil_rans::fast`), while the
 /// adaptive path can still pass `&dyn ModelProvider`.
 pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
@@ -217,14 +290,21 @@ pub fn decode_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     pool: Option<&ThreadPool>,
     out: &mut [S],
 ) -> Result<(), RecoilError> {
-    decode_into_impl(stream, metadata, provider, pool, out).map_err(RecoilError::from)
+    check_whole(stream, out.len())?;
+    decode_segments_pooled(
+        stream,
+        metadata,
+        provider,
+        pool,
+        0..metadata.num_segments(),
+        out,
+    )
 }
 
-/// Building block for [`DecodeBackend::decode_u8_segments`] /
-/// [`DecodeBackend::decode_u16_segments`] implementations: the scalar (or
-/// thread-pooled) three-phase decode of a contiguous segment range, with
-/// `stream.words` allowed to be a prefix covering those segments. Generic
-/// over the provider for the same devirtualization reason as
+/// The scalar (or thread-pooled) three-phase decode of a contiguous segment
+/// range, with `stream.words` allowed to be a prefix covering those
+/// segments: [`decode_segments_with`] running the fast scalar loop in each
+/// task. Generic over the provider for the same devirtualization reason as
 /// [`decode_pooled`].
 pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     stream: &EncodedStream,
@@ -234,7 +314,37 @@ pub fn decode_segments_pooled<S: Symbol, P: ModelProvider + ?Sized>(
     segments: Range<u64>,
     out: &mut [S],
 ) -> Result<(), RecoilError> {
-    decode_segments_impl(stream, metadata, provider, pool, segments, out).map_err(RecoilError::from)
+    let words = &stream.words;
+    decode_segments_with(
+        stream,
+        metadata,
+        provider,
+        pool,
+        segments,
+        out,
+        |states, next_read, lo, seg| scalar_kernel(provider, words, states, next_read, lo, seg),
+    )
+    .map_err(RecoilError::from)
+}
+
+/// [`decode_segments_pooled`] for a request, at the buffer's width.
+fn scalar_segments(
+    req: &DecodeRequest<'_>,
+    pool: Option<&ThreadPool>,
+    segments: Range<u64>,
+    out: SymbolsMut<'_>,
+) -> Result<(), RecoilError> {
+    let DecodeRequest {
+        stream,
+        metadata,
+        model,
+    } = *req;
+    match out {
+        SymbolsMut::U8(out) => decode_segments_pooled(stream, metadata, model, pool, segments, out),
+        SymbolsMut::U16(out) => {
+            decode_segments_pooled(stream, metadata, model, pool, segments, out)
+        }
+    }
 }
 
 /// Serial reference backend: always available, no threads, no SIMD.
@@ -246,22 +356,13 @@ impl DecodeBackend for ScalarBackend {
         "scalar"
     }
 
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, None, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, None, out)
-    }
-
-    fn decode_adaptive(
+    fn decode_segments(
         &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
+        req: &DecodeRequest<'_>,
+        segments: Range<u64>,
+        out: SymbolsMut<'_>,
     ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, None, out)
+        scalar_segments(req, None, segments, out)
     }
 }
 
@@ -291,11 +392,6 @@ impl PooledBackend {
     pub fn from_pool(pool: ThreadPool) -> Self {
         Self { pool }
     }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
 }
 
 impl DecodeBackend for PooledBackend {
@@ -303,54 +399,17 @@ impl DecodeBackend for PooledBackend {
         "pooled"
     }
 
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, Some(&self.pool), out)
+    fn pool(&self) -> Option<&ThreadPool> {
+        Some(&self.pool)
     }
 
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        decode_pooled(req.stream, req.metadata, req.model, Some(&self.pool), out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, Some(&self.pool), out)
-    }
-
-    fn decode_u8_segments(
+    fn decode_segments(
         &self,
         req: &DecodeRequest<'_>,
         segments: Range<u64>,
-        out: &mut [u8],
+        out: SymbolsMut<'_>,
     ) -> Result<(), RecoilError> {
-        decode_segments_pooled(
-            req.stream,
-            req.metadata,
-            req.model,
-            Some(&self.pool),
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_segments_pooled(
-            req.stream,
-            req.metadata,
-            req.model,
-            Some(&self.pool),
-            segments,
-            out,
-        )
+        scalar_segments(req, Some(&self.pool), segments, out)
     }
 }
 
@@ -361,61 +420,22 @@ mod sealed {
 }
 
 /// Symbol types the [`Codec`] facade can route through a boxed
-/// [`DecodeBackend`] (the backend trait is object-safe, so dispatch by
-/// symbol width happens here instead of via generic trait methods).
+/// [`DecodeBackend`] (the backend trait is object-safe, so the symbol width
+/// travels as a [`SymbolsMut`] instead of a generic parameter).
 pub trait CodecSymbol: Symbol + sealed::Sealed {
-    /// Routes `req` to the width-matching backend entry point.
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError>;
-
-    /// Routes a segment-range decode to the width-matching backend entry
-    /// point (the streaming path).
-    fn run_backend_segments(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError>;
+    /// Wraps an output buffer of this width.
+    fn symbols_mut(out: &mut [Self]) -> SymbolsMut<'_>;
 }
 
 impl CodecSymbol for u8 {
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u8(req, out)
-    }
-
-    fn run_backend_segments(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u8_segments(req, segments, out)
+    fn symbols_mut(out: &mut [Self]) -> SymbolsMut<'_> {
+        SymbolsMut::U8(out)
     }
 }
 
 impl CodecSymbol for u16 {
-    fn run_backend(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u16(req, out)
-    }
-
-    fn run_backend_segments(
-        backend: &dyn DecodeBackend,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [Self],
-    ) -> Result<(), RecoilError> {
-        backend.decode_u16_segments(req, segments, out)
+    fn symbols_mut(out: &mut [Self]) -> SymbolsMut<'_> {
+        SymbolsMut::U16(out)
     }
 }
 
@@ -779,7 +799,7 @@ impl Codec {
             metadata: &encoded.container.metadata,
             model: &encoded.model,
         };
-        S::run_backend(backend, &req, out)
+        decode_whole(backend, &req, S::symbols_mut(out))
     }
 
     /// Decodes an adaptively modelled stream (per-position models) through
@@ -969,13 +989,16 @@ mod tests {
 
     #[test]
     fn matches_legacy_free_function_bytes() {
-        #![allow(deprecated)]
+        // The facade adds validation and model building, never bytes: it
+        // must match the raw encoder driven with the same plan.
         let data = sample(200_000, 3);
         let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let legacy = crate::container::encode_with_splits(&data, &model, 32, 24);
+        let raw =
+            crate::encoder::encode_container(&data, &model, 32, PlannerConfig::with_segments(24))
+                .unwrap();
         let codec = Codec::builder().max_segments(24).build().unwrap();
         let new = codec.encode(&data).unwrap();
-        assert_eq!(new.container.stream, legacy.stream);
-        assert_eq!(new.container.metadata, legacy.metadata);
+        assert_eq!(new.container.stream, raw.stream);
+        assert_eq!(new.container.metadata, raw.metadata);
     }
 }

@@ -1,9 +1,7 @@
-//! One-call encode API and the stream+metadata container.
+//! The stream+metadata container.
 
 use crate::metadata::RecoilMetadata;
-use crate::planner::PlannerConfig;
 use crate::wire::metadata_to_bytes;
-use recoil_models::{ModelProvider, Symbol};
 use recoil_rans::EncodedStream;
 
 /// An encoded bitstream together with its (independent) Recoil metadata.
@@ -37,33 +35,21 @@ impl RecoilContainer {
     }
 }
 
-/// Encodes `data` with `ways` interleaved lanes while planning split
-/// metadata for `segments` parallel decoders.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::builder()` — e.g. \
-            `Codec::builder().ways(32).max_segments(64).build()?.encode_with_provider(data, provider)`"
-)]
-pub fn encode_with_splits<S: Symbol, P: ModelProvider>(
-    data: &[S],
-    provider: &P,
-    ways: u32,
-    segments: u64,
-) -> RecoilContainer {
-    // The pre-codec signature is infallible; symbols outside the model's
-    // support used to die on a divide-by-zero in release builds, so the
-    // typed error surfacing as a panic message here is strictly an upgrade.
-    crate::encoder::encode_container(data, provider, ways, PlannerConfig::with_segments(segments))
-        .expect("symbol outside the model's support")
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
-    use crate::decoder::decode_recoil;
-    use recoil_models::{CdfTable, StaticModelProvider};
+    use crate::codec::decode_pooled;
+    use crate::encoder::encode_container;
+    use crate::planner::PlannerConfig;
+    use recoil_models::{CdfTable, ModelProvider, StaticModelProvider, Symbol};
+
+    fn encode_with_segments<S: Symbol, P: ModelProvider>(
+        data: &[S],
+        provider: &P,
+        segments: u64,
+    ) -> RecoilContainer {
+        encode_container(data, provider, 32, PlannerConfig::with_segments(segments)).unwrap()
+    }
 
     #[test]
     fn one_call_encode_decodes_back() {
@@ -71,9 +57,10 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 22) as u8)
             .collect();
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let c = encode_with_splits(&data, &p, 32, 16);
+        let c = encode_with_segments(&data, &p, 16);
         assert_eq!(c.metadata.num_segments(), 16);
-        let got: Vec<u8> = decode_recoil(&c.stream, &c.metadata, &p, None).unwrap();
+        let mut got = vec![0u8; data.len()];
+        decode_pooled(&c.stream, &c.metadata, &p, None, &mut got).unwrap();
         assert_eq!(got, data);
     }
 
@@ -83,8 +70,8 @@ mod tests {
             .map(|i| (i.wrapping_mul(747796405) >> 21) as u8)
             .collect();
         let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let small = encode_with_splits(&data, &p, 32, 8);
-        let large = encode_with_splits(&data, &p, 32, 128);
+        let small = encode_with_segments(&data, &p, 8);
+        let large = encode_with_segments(&data, &p, 128);
         assert_eq!(
             small.stream_bytes(),
             large.stream_bytes(),

@@ -13,12 +13,13 @@
 //! ways × u32       final states
 //! num_words × u16  bitstream words
 //! u32 metadata_len | metadata bytes (§4.3 format)
-//! u32 crc32        little-endian CRC-32 of every preceding byte (v2+)
+//! u32 crc32        little-endian CRC-32 of every preceding byte
 //! ```
 //!
-//! Version 2 appends the CRC-32 footer; the parser checks it before
+//! The version byte is 2. The parser checks the CRC-32 footer before
 //! interpreting any field, so corrupt files fail as [`RecoilError::Wire`]
-//! instead of decoding garbage. Version 1 files (no footer) still parse.
+//! instead of decoding garbage. Any other version, including the
+//! footer-less version 1, is rejected.
 
 use crate::crc::crc32;
 use crate::error::RecoilError;
@@ -29,10 +30,9 @@ use recoil_models::{CdfTable, StaticModelProvider};
 use recoil_rans::EncodedStream;
 
 const MAGIC: &[u8; 4] = b"RCLF";
-/// Current format: CRC-32 footer after the metadata section.
+/// Format version 2: CRC-32 footer after the metadata section. Version 1
+/// (no footer) is rejected, so no file can skip the integrity check.
 const VERSION: u8 = 2;
-/// First format: identical layout, no integrity footer.
-const LEGACY_VERSION: u8 = 1;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -125,25 +125,20 @@ pub fn container_from_bytes(
     if c.take(4)? != MAGIC {
         return Err(RecoilError::wire("bad magic"));
     }
-    let bytes = match c.u8()? {
-        LEGACY_VERSION => bytes,
-        VERSION => {
-            // Verify the integrity footer before interpreting any field.
-            if bytes.len() < 5 + 4 {
-                return Err(RecoilError::wire("truncated file"));
-            }
-            let (body, footer) = bytes.split_at(bytes.len() - 4);
-            let footer: [u8; 4] = footer
-                .try_into()
-                .map_err(|_| RecoilError::wire("truncated file"))?;
-            let expected = u32::from_le_bytes(footer);
-            if crc32(body) != expected {
-                return Err(RecoilError::wire("file checksum mismatch"));
-            }
-            body
-        }
-        _ => return Err(RecoilError::wire("unsupported version")),
-    };
+    if c.u8()? != VERSION {
+        return Err(RecoilError::wire("unsupported version"));
+    }
+    // Verify the integrity footer before interpreting any field.
+    if bytes.len() < 5 + 4 {
+        return Err(RecoilError::wire("truncated file"));
+    }
+    let (bytes, footer) = bytes.split_at(bytes.len() - 4);
+    let footer: [u8; 4] = footer
+        .try_into()
+        .map_err(|_| RecoilError::wire("truncated file"))?;
+    if crc32(bytes) != u32::from_le_bytes(footer) {
+        return Err(RecoilError::wire("file checksum mismatch"));
+    }
     let mut c = Cursor { bytes, at: 5 };
     let n = u32::from(c.u8()?);
     if !(1..=16).contains(&n) {
@@ -234,11 +229,8 @@ pub fn container_from_bytes(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
-    use crate::container::encode_with_splits;
-    use crate::decoder::decode_recoil;
+    use crate::codec::{decode_pooled, Codec};
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len as u32)
@@ -246,7 +238,19 @@ mod tests {
             .collect()
     }
 
-    /// Recomputes the v2 CRC footer after a test deliberately corrupts the
+    /// Encodes `data` with its order-0 model at level `n`, planned for
+    /// `segments` decoders.
+    fn encode(data: &[u8], n: u32, segments: u64) -> (RecoilContainer, StaticModelProvider) {
+        let codec = Codec::builder()
+            .quant_bits(n)
+            .max_segments(segments)
+            .build()
+            .unwrap();
+        let encoded = codec.encode(data).unwrap();
+        (encoded.container, encoded.model)
+    }
+
+    /// Recomputes the CRC footer after a test deliberately corrupts the
     /// body — so the structural check under test fires, not the checksum.
     fn patch_crc(bytes: &mut [u8]) {
         let at = bytes.len() - 4;
@@ -257,21 +261,20 @@ mod tests {
     #[test]
     fn file_round_trip_and_decode() {
         let data = sample(120_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 24);
+        let (container, model) = encode(&data, 11, 24);
         let bytes = container_to_bytes(&container, model.table());
         let (back, model2) = container_from_bytes(&bytes).unwrap();
         assert_eq!(back.stream, container.stream);
         assert_eq!(back.metadata, container.metadata);
-        let decoded: Vec<u8> = decode_recoil(&back.stream, &back.metadata, &model2, None).unwrap();
+        let mut decoded = vec![0u8; data.len()];
+        decode_pooled(&back.stream, &back.metadata, &model2, None, &mut decoded).unwrap();
         assert_eq!(decoded, data);
     }
 
     #[test]
     fn n16_frequencies_fit_u16() {
         let data = sample(50_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 16));
-        let container = encode_with_splits(&data, &model, 32, 8);
+        let (container, model) = encode(&data, 16, 8);
         let bytes = container_to_bytes(&container, model.table());
         let (_, model2) = container_from_bytes(&bytes).unwrap();
         assert_eq!(model2.table(), model.table());
@@ -280,8 +283,7 @@ mod tests {
     #[test]
     fn hostile_symbol_count_rejected_without_allocation() {
         let data = sample(10_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let (container, model) = encode(&data, 11, 4);
         let mut bytes = container_to_bytes(&container, model.table());
         // num_symbols lives at offset 12..20 of the header.
         bytes[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
@@ -296,8 +298,7 @@ mod tests {
     #[test]
     fn truncations_error_cleanly() {
         let data = sample(5_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let (container, model) = encode(&data, 10, 4);
         let bytes = container_to_bytes(&container, model.table());
         for cut in [0, 3, 7, 20, bytes.len() / 2, bytes.len() - 1] {
             assert!(container_from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
@@ -307,8 +308,7 @@ mod tests {
     #[test]
     fn corrupt_magic_and_model_rejected() {
         let data = sample(5_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 10));
-        let container = encode_with_splits(&data, &model, 32, 4);
+        let (container, model) = encode(&data, 10, 4);
         let mut bytes = container_to_bytes(&container, model.table());
         bytes[0] ^= 1;
         assert!(container_from_bytes(&bytes).is_err());
@@ -325,16 +325,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version1_files_still_parse() {
+    fn version1_files_are_rejected() {
         let data = sample(20_000);
-        let model = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let container = encode_with_splits(&data, &model, 32, 8);
-        let mut bytes = container_to_bytes(&container, model.table());
-        // A v1 file is the same layout minus the footer, tagged version 1.
-        bytes.truncate(bytes.len() - 4);
-        bytes[4] = 1;
-        let (back, _) = container_from_bytes(&bytes).unwrap();
-        assert_eq!(back.stream, container.stream);
-        assert_eq!(back.metadata, container.metadata);
+        let (container, model) = encode(&data, 11, 8);
+        let v2 = container_to_bytes(&container, model.table());
+        // Version 1 carried no CRC footer, so accepting its tag would let a
+        // file skip the integrity check. The v1 layout, and a v2 file
+        // retagged as v1 (with and without a matching footer), all fail.
+        let mut v1 = v2[..v2.len() - 4].to_vec();
+        v1[4] = 1;
+        let mut retagged = v2.clone();
+        retagged[4] = 1;
+        let mut patched = retagged.clone();
+        patch_crc(&mut patched);
+        for bytes in [v1, retagged, patched] {
+            match container_from_bytes(&bytes) {
+                Err(RecoilError::Wire { detail }) => {
+                    assert!(detail.contains("unsupported version"), "{detail}")
+                }
+                other => panic!("v1 file not rejected: {:?}", other.map(|_| ())),
+            }
+        }
     }
 }

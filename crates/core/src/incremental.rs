@@ -277,7 +277,7 @@ impl IncrementalDecoder {
             metadata: &self.metadata,
             model: &self.model,
         };
-        S::run_backend_segments(backend, &req, self.decoded..ready, out)?;
+        backend.decode_segments(&req, self.decoded..ready, S::symbols_mut(out))?;
         let range =
             self.bounds[self.decoded as usize] as usize..self.bounds[ready as usize] as usize;
         self.decoded = ready;

@@ -28,6 +28,15 @@
 //!                                             ▼
 //!                       three-phase parallel decoder (thread pool)
 //! ```
+//!
+//! Decoding has one engine, [`decode_segments_with`]: for segments `a..b`
+//! it validates the request, hands each task its disjoint output slice,
+//! runs each split's Synchronization Phase, and calls a per-task kernel for
+//! the Decoding and Cross-Boundary phases, serially or on a thread pool.
+//! A [`DecodeBackend`] implements one method, `decode_segments`, choosing
+//! that kernel and pool; whole-stream, fixed-width and adaptive decodes
+//! are provided wrappers. [`ScalarBackend`] and [`PooledBackend`] run the
+//! fast scalar loop; `recoil-simd` plugs in the AVX2/AVX-512 kernels.
 
 // Safe crate: `unsafe` lives only in the audited allowlist (cargo xtask check).
 #![forbid(unsafe_code)]
@@ -47,12 +56,12 @@ mod wire;
 
 pub use codec::{
     Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
-    PooledBackend, ScalarBackend,
+    PooledBackend, ScalarBackend, SymbolsMut,
 };
 pub use combine::{combine_splits, try_combine_splits};
 pub use container::RecoilContainer;
 pub use crc::{crc32, update_crc32};
-pub use decoder::{decode_split_count, sync_split_states, validate_segment_decode};
+pub use decoder::{decode_segments_with, sync_split_states, validate_segment_decode};
 pub use encoder::PARALLEL_MIN_SYMBOLS;
 pub use error::RecoilError;
 pub use file::{container_from_bytes, container_to_bytes};
@@ -63,8 +72,3 @@ pub use planner::{
     PlannerConfig, SplitPlanner,
 };
 pub use wire::{metadata_from_bytes, metadata_to_bytes};
-
-#[allow(deprecated)]
-pub use container::encode_with_splits;
-#[allow(deprecated)]
-pub use decoder::{decode_recoil, decode_recoil_into};

@@ -17,11 +17,11 @@
 //! 4 bits for the unsigned 16-bit-max series and 5 bits for the signed
 //! 32-bit-max series; signed values carry an extra sign bit each.
 //!
-//! Version 2 of the format appends a little-endian CRC-32 footer over all
+//! The format (version 2) ends in a little-endian CRC-32 footer over all
 //! preceding bytes; the parser verifies it before interpreting anything
 //! else, so corrupt frames are rejected as [`RecoilError::Wire`] instead of
-//! reconstructing garbage split points. Version 1 bytes (no footer) still
-//! parse.
+//! reconstructing garbage split points. Any other version, including the
+//! footer-less version 1, is rejected.
 
 use crate::crc::crc32;
 use crate::error::RecoilError;
@@ -29,10 +29,8 @@ use crate::metadata::{LaneInit, RecoilMetadata, SplitPoint};
 use recoil_bitio::{BitReader, BitWriter};
 
 const MAGIC: u64 = 0x5243_4C31; // "RCL1"
-/// Current format: CRC-32 footer after the bit-packed body.
+/// Format version 2: CRC-32 footer after the bit-packed body.
 const VERSION: u64 = 2;
-/// First format: identical body, no integrity footer.
-const LEGACY_VERSION: u64 = 1;
 
 /// Bits needed for unsigned `v`, counting zero as one bit.
 fn bits_for(v: u64) -> u32 {
@@ -108,19 +106,13 @@ fn read_signed_series(
         .collect()
 }
 
-/// Serializes metadata to its compact byte form (current version, with the
-/// CRC-32 integrity footer).
+/// Serializes metadata to its compact byte form, with the CRC-32 integrity
+/// footer.
 pub fn metadata_to_bytes(meta: &RecoilMetadata) -> Vec<u8> {
-    metadata_to_bytes_versioned(meta, VERSION)
-}
-
-/// Serializes at an explicit format version — `LEGACY_VERSION` exists only
-/// so tests can prove old bytes still parse.
-fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
     debug_assert!(meta.validate().is_ok());
     let mut w = BitWriter::new();
     w.write(MAGIC, 32);
-    w.write(version, 8);
+    w.write(VERSION, 8);
     w.write(meta.ways as u64, 16);
     w.write(meta.quant_bits as u64, 8);
     w.write(meta.num_symbols, 64);
@@ -163,36 +155,30 @@ fn metadata_to_bytes_versioned(meta: &RecoilMetadata, version: u64) -> Vec<u8> {
         }
     }
     let mut bytes = w.into_bytes();
-    if version >= VERSION {
-        let footer = crc32(&bytes);
-        bytes.extend_from_slice(&footer.to_le_bytes());
-    }
+    let footer = crc32(&bytes);
+    bytes.extend_from_slice(&footer.to_le_bytes());
     bytes
 }
 
-/// Parses metadata back from its byte form (version 1 or 2).
+/// Parses metadata back from its byte form.
 pub fn metadata_from_bytes(bytes: &[u8]) -> Result<RecoilMetadata, RecoilError> {
     let bad = |msg: &str| RecoilError::wire(msg);
     let mut peek = BitReader::new(bytes);
     if peek.read(32) != Some(MAGIC) {
         return Err(bad("bad magic"));
     }
-    let body = match peek.read(8) {
-        Some(LEGACY_VERSION) => bytes,
-        Some(VERSION) => {
-            // Verify the integrity footer before interpreting anything: a
-            // corrupt frame must never reconstruct garbage split points.
-            let (body, footer) = bytes.split_at(bytes.len() - 4);
-            let footer: [u8; 4] = footer.try_into().map_err(|_| bad("truncated footer"))?;
-            let expected = u32::from_le_bytes(footer);
-            if crc32(body) != expected {
-                return Err(bad("metadata checksum mismatch"));
-            }
-            body
-        }
+    match peek.read(8) {
+        Some(VERSION) => {}
         Some(_) => return Err(bad("unsupported version")),
         None => return Err(bad("truncated header")),
-    };
+    }
+    // Verify the integrity footer before interpreting anything: a corrupt
+    // frame must never reconstruct garbage split points.
+    let (body, footer) = bytes.split_at(bytes.len() - 4);
+    let footer: [u8; 4] = footer.try_into().map_err(|_| bad("truncated footer"))?;
+    if crc32(body) != u32::from_le_bytes(footer) {
+        return Err(bad("metadata checksum mismatch"));
+    }
     let mut r = BitReader::new(body);
     r.read(32).ok_or_else(|| bad("truncated header"))?;
     r.read(8).ok_or_else(|| bad("truncated header"))?;
@@ -424,13 +410,30 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version1_bytes_still_parse() {
+    fn version1_bytes_are_rejected() {
         let meta = figure6_meta();
-        let v1 = metadata_to_bytes_versioned(&meta, LEGACY_VERSION);
         let v2 = metadata_to_bytes(&meta);
-        assert_eq!(v1.len() + 4, v2.len(), "v2 adds exactly the CRC footer");
-        assert_eq!(metadata_from_bytes(&v1).unwrap(), meta);
         assert_eq!(metadata_from_bytes(&v2).unwrap(), meta);
+        // Version 1 had no CRC footer, so accepting its tag would let a
+        // frame skip the integrity check. The v1 layout, and a v2 frame
+        // retagged as v1 (with and without a matching footer), all fail.
+        // The version field is byte 4, right after the 32-bit magic.
+        let mut v1 = v2[..v2.len() - 4].to_vec();
+        v1[4] = 1;
+        let mut retagged = v2.clone();
+        retagged[4] = 1;
+        let mut patched = retagged.clone();
+        let at = patched.len() - 4;
+        let footer = crc32(&patched[..at]);
+        patched[at..].copy_from_slice(&footer.to_le_bytes());
+        for bytes in [v1, retagged, patched] {
+            match metadata_from_bytes(&bytes) {
+                Err(RecoilError::Wire { detail }) => {
+                    assert!(detail.contains("unsupported version"), "{detail}")
+                }
+                other => panic!("v1 frame not rejected: {other:?}"),
+            }
+        }
     }
 
     #[test]

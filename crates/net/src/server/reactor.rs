@@ -1127,6 +1127,10 @@ impl EventLoop {
         self.shared.content.connection_opened();
         self.shared.active.fetch_add(1, Ordering::Relaxed);
         self.publish_slab_stats();
+        // The pump below may already serve pipelined STATS/TELEMETRY
+        // requests, before this iteration's `publish_gauges`: publish now
+        // so both see the slot this connection took.
+        self.publish_gauges();
         self.pump_token(token);
     }
 

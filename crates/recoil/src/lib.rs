@@ -63,6 +63,11 @@
 //!
 //! ## Backend selection semantics
 //!
+//! A backend implements one method, `DecodeBackend::decode_segments`
+//! (decode segments `a..b`); whole-stream, fixed-width and adaptive decodes
+//! are provided wrappers around it. Backends differ only in how each
+//! segment task runs:
+//!
 //! | Backend | Behaviour |
 //! |---|---|
 //! | [`ScalarBackend`] | portable serial reference; always available |
@@ -117,7 +122,7 @@ pub mod prelude {
     pub use recoil_conventional::{decode_conventional, encode_conventional};
     pub use recoil_core::codec::{
         Codec, CodecBuilder, CodecSymbol, DecodeBackend, DecodeRequest, Encoded, EncoderConfig,
-        PooledBackend, ScalarBackend,
+        PooledBackend, ScalarBackend, SymbolsMut,
     };
     pub use recoil_core::{
         combine_splits, metadata_from_bytes, metadata_to_bytes, plan_chunks, try_combine_splits,
@@ -140,11 +145,4 @@ pub mod prelude {
         Kernel, SimdModel,
     };
     pub use recoil_tans::{decode_multians, decode_tans_serial, encode_tans, TansTable};
-
-    // Deprecated shims, still exported so existing call sites keep
-    // compiling (each use warns and points at the `Codec` replacement).
-    #[allow(deprecated)]
-    pub use recoil_core::{decode_recoil, decode_recoil_into, encode_with_splits};
-    #[allow(deprecated)]
-    pub use recoil_simd::decode_recoil_simd;
 }

@@ -307,16 +307,24 @@ impl ContentServer {
             payload_crc: OnceLock::new(),
             hits: std::sync::atomic::AtomicU64::new(0),
         });
-        match self.shard(name).write().entry(name.to_string()) {
+        // The shard's write guard must drop before `_inflight`, whose `Drop`
+        // locks `publishing`: a concurrent publish holds `publishing` while
+        // it reads this shard. Binding the result releases the guard at the
+        // end of this statement, not after the locals.
+        let inserted = match self.shard(name).write().entry(name.to_string()) {
             // Unreachable while every insert goes through the in-flight
             // claim above; kept as a cheap belt-and-braces re-check.
-            Entry::Occupied(_) => Err(taken()),
+            Entry::Occupied(_) => false,
             Entry::Vacant(v) => {
                 v.insert(Arc::clone(&content));
-                bump(&self.stats.publishes);
-                Ok(content)
+                true
             }
+        };
+        if !inserted {
+            return Err(taken());
         }
+        bump(&self.stats.publishes);
+        Ok(content)
     }
 
     /// Removes published content, returning whether it existed. In-flight
@@ -718,6 +726,42 @@ mod tests {
         assert!(server.unpublish("x"));
         server.publish("x", &data, &config(4)).unwrap();
         assert_eq!(server.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_publishes_on_one_shard_do_not_deadlock() {
+        // Regression: `publish` used to end in a `match` on the shard's
+        // write guard. As a tail-expression temporary that guard outlived
+        // the in-flight guard, whose `Drop` locks `publishing`, while a
+        // second publish held `publishing` and waited to read the same
+        // shard. A watchdog turns the hang into a failure.
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 300;
+        let server = Arc::new(ContentServer::with_config(ServerConfig {
+            shards: 1,
+            tier_cache_capacity: 2,
+            batch_workers: 0,
+        }));
+        let data: Arc<[u8]> = sample(256).into();
+        let (done, finished) = std::sync::mpsc::channel();
+        for t in 0..THREADS {
+            let (server, data, done) = (Arc::clone(&server), Arc::clone(&data), done.clone());
+            std::thread::spawn(move || {
+                let published = (0..PER_THREAD).all(|i| {
+                    server
+                        .publish(&format!("item-{t}-{i}"), &data, &config(1))
+                        .is_ok()
+                });
+                done.send(published).ok();
+            });
+        }
+        for _ in 0..THREADS {
+            let published = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("concurrent publishes deadlocked");
+            assert!(published, "a publish failed");
+        }
+        assert_eq!(server.len(), THREADS * PER_THREAD);
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! SIMD [`DecodeBackend`] implementations plugging the AVX2/AVX-512 kernels
 //! into the `recoil_core::codec` facade.
 //!
+//! All three backends are one type, [`SimdBackend`], parameterised by a
+//! [`KernelPolicy`]; the aliases [`Avx2Backend`], [`Avx512Backend`] and
+//! [`AutoBackend`] name the three policies. Like every backend, it
+//! implements only [`DecodeBackend::decode_segments`]: core's segment-range
+//! engine schedules the tasks and runs each split's Synchronization Phase,
+//! and the vector kernel runs the Decoding and Cross-Boundary phases inside
+//! each task.
+//!
 //! ## Backend selection semantics
 //!
 //! * [`Avx2Backend`] / [`Avx512Backend`] run their kernel or fail: decoding
@@ -16,326 +24,183 @@
 //! * The vector kernels are built for the paper's 32-way interleave and
 //!   static models. For non-32-way streams [`AutoBackend`] falls back to
 //!   the scalar path, while the explicit AVX backends report the stream as
-//!   malformed (matching the seed `decode_recoil_simd` behavior). Adaptive
-//!   (per-position-model) decodes always take the scalar/pooled path —
-//!   per-symbol model indirection defeats flat gathers.
+//!   malformed. Adaptive (per-position-model) decodes always take the
+//!   scalar engine — per-symbol model indirection defeats flat gathers.
 //!
 //! All backends optionally carry a [`ThreadPool`], in which case decode
 //! tasks (one per metadata segment) are distributed across it; the kernels
 //! then run *inside* each task.
 
-use crate::driver::{run_recoil_simd, run_recoil_simd_segments};
+use crate::driver::decode_segment;
 use crate::kernel::Kernel;
-use recoil_core::codec::{decode_pooled, decode_segments_pooled, DecodeBackend, DecodeRequest};
-use recoil_core::{RecoilError, RecoilMetadata};
-use recoil_models::{ModelProvider, Symbol};
+use crate::model::SimdModel;
+use recoil_core::codec::{decode_segments_pooled, DecodeBackend, DecodeRequest, SymbolsMut};
+use recoil_core::{decode_segments_with, RecoilError};
+use recoil_models::Symbol;
 use recoil_parallel::ThreadPool;
-use recoil_rans::EncodedStream;
+use recoil_rans::RansError;
+use std::marker::PhantomData;
 use std::ops::Range;
 
-fn run_fixed<S: Symbol>(
-    kernel: Kernel,
-    name: &'static str,
-    pool: Option<&ThreadPool>,
-    req: &DecodeRequest<'_>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    if !kernel.is_available() {
-        return Err(RecoilError::BackendUnavailable { backend: name });
-    }
-    run_recoil_simd(kernel, req.stream, req.metadata, req.model, pool, out)
-        .map_err(RecoilError::from)
+/// How a [`SimdBackend`] picks its kernel.
+pub trait KernelPolicy: Send + Sync + 'static {
+    /// The backend's name.
+    const NAME: &'static str;
+    /// The one kernel this backend runs, or `None` to pick the best
+    /// available kernel per stream.
+    const FIXED: Option<Kernel>;
 }
 
-fn run_fixed_segments<S: Symbol>(
-    kernel: Kernel,
-    name: &'static str,
-    pool: Option<&ThreadPool>,
-    req: &DecodeRequest<'_>,
-    segments: Range<u64>,
-    out: &mut [S],
-) -> Result<(), RecoilError> {
-    if !kernel.is_available() {
-        return Err(RecoilError::BackendUnavailable { backend: name });
-    }
-    run_recoil_simd_segments(
-        kernel,
-        req.stream,
-        req.metadata,
-        req.model,
-        pool,
-        segments,
-        out,
-    )
-    .map_err(RecoilError::from)
+/// Policy of [`Avx2Backend`]: always the AVX2 kernel.
+pub struct Avx2Only;
+
+/// Policy of [`Avx512Backend`]: always the AVX-512 kernel.
+pub struct Avx512Only;
+
+/// Policy of [`AutoBackend`]: AVX-512 → AVX2 → scalar, per stream.
+pub struct BestAvailable;
+
+impl KernelPolicy for Avx2Only {
+    const NAME: &'static str = "avx2";
+    const FIXED: Option<Kernel> = Some(Kernel::Avx2);
+}
+
+impl KernelPolicy for Avx512Only {
+    const NAME: &'static str = "avx512";
+    const FIXED: Option<Kernel> = Some(Kernel::Avx512);
+}
+
+impl KernelPolicy for BestAvailable {
+    const NAME: &'static str = "auto";
+    const FIXED: Option<Kernel> = None;
+}
+
+/// A decode backend running segment tasks with the kernel its policy picks.
+pub struct SimdBackend<P: KernelPolicy> {
+    pool: Option<ThreadPool>,
+    policy: PhantomData<P>,
 }
 
 /// AVX2 kernel backend (8 lanes × 4 unroll, paper implementation (2)).
-#[derive(Default)]
-pub struct Avx2Backend {
-    pool: Option<ThreadPool>,
-}
+pub type Avx2Backend = SimdBackend<Avx2Only>;
 
 /// AVX-512 kernel backend (16 lanes × 2 unroll, paper implementation (3)).
-#[derive(Default)]
-pub struct Avx512Backend {
-    pool: Option<ThreadPool>,
-}
+pub type Avx512Backend = SimdBackend<Avx512Only>;
 
 /// Runtime-dispatch backend: AVX-512 → AVX2 → scalar, never unavailable.
-#[derive(Default)]
-pub struct AutoBackend {
-    pool: Option<ThreadPool>,
-}
+pub type AutoBackend = SimdBackend<BestAvailable>;
 
-macro_rules! pool_constructors {
-    ($ty:ident) => {
-        impl $ty {
-            /// Single-threaded backend (kernels still vectorize within the
-            /// calling thread).
-            pub fn new() -> Self {
-                Self { pool: None }
-            }
+impl<P: KernelPolicy> SimdBackend<P> {
+    /// Single-threaded backend (kernels still vectorize within the calling
+    /// thread).
+    pub fn new() -> Self {
+        Self::from_parts(None)
+    }
 
-            /// Backend decoding on `threads` threads.
-            pub fn with_threads(threads: usize) -> Self {
-                Self {
-                    pool: (threads > 1).then(|| ThreadPool::new(threads - 1)),
-                }
-            }
+    /// Backend decoding on `threads` threads.
+    pub fn with_threads(threads: usize) -> Self {
+        Self::from_parts((threads > 1).then(|| ThreadPool::new(threads - 1)))
+    }
 
-            /// Backend decoding on an existing pool.
-            pub fn with_pool(pool: ThreadPool) -> Self {
-                Self { pool: Some(pool) }
-            }
+    /// Backend decoding on an existing pool.
+    pub fn with_pool(pool: ThreadPool) -> Self {
+        Self::from_parts(Some(pool))
+    }
+
+    fn from_parts(pool: Option<ThreadPool>) -> Self {
+        Self {
+            pool,
+            policy: PhantomData,
         }
-    };
-}
-
-pool_constructors!(Avx2Backend);
-pool_constructors!(Avx512Backend);
-pool_constructors!(AutoBackend);
-
-impl DecodeBackend for Avx2Backend {
-    fn name(&self) -> &'static str {
-        "avx2"
     }
 
-    fn is_available(&self) -> bool {
-        Kernel::Avx2.is_available()
-    }
-
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx2, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx2, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx2,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx2,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-}
-
-impl DecodeBackend for Avx512Backend {
-    fn name(&self) -> &'static str {
-        "avx512"
-    }
-
-    fn is_available(&self) -> bool {
-        Kernel::Avx512.is_available()
-    }
-
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx512, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        run_fixed(Kernel::Avx512, self.name(), self.pool.as_ref(), req, out)
-    }
-
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u8],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx512,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        run_fixed_segments(
-            Kernel::Avx512,
-            self.name(),
-            self.pool.as_ref(),
-            req,
-            segments,
-            out,
-        )
-    }
-}
-
-impl AutoBackend {
-    /// The kernel a decode will use for a `ways`-way stream on this host.
+    /// The kernel a decode will use for a `ways`-way stream on this host
+    /// ([`Kernel::Scalar`] means the scalar three-phase decoder).
     pub fn selected_kernel(&self, ways: u32) -> Kernel {
-        if ways == crate::SIMD_WAYS {
-            Kernel::best()
-        } else {
-            Kernel::Scalar
-        }
-    }
-
-    fn run_auto<S: Symbol>(
-        &self,
-        req: &DecodeRequest<'_>,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        match self.selected_kernel(req.stream.ways) {
-            Kernel::Scalar => {
-                decode_pooled(req.stream, req.metadata, req.model, self.pool.as_ref(), out)
-            }
-            kernel => run_recoil_simd(
-                kernel,
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                out,
-            )
-            .map_err(RecoilError::from),
-        }
-    }
-
-    fn run_auto_segments<S: Symbol>(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [S],
-    ) -> Result<(), RecoilError> {
-        match self.selected_kernel(req.stream.ways) {
-            Kernel::Scalar => decode_segments_pooled(
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                segments,
-                out,
-            ),
-            kernel => run_recoil_simd_segments(
-                kernel,
-                req.stream,
-                req.metadata,
-                req.model,
-                self.pool.as_ref(),
-                segments,
-                out,
-            )
-            .map_err(RecoilError::from),
+        match P::FIXED {
+            Some(kernel) => kernel,
+            None if ways == crate::SIMD_WAYS => Kernel::best(),
+            None => Kernel::Scalar,
         }
     }
 }
 
-impl DecodeBackend for AutoBackend {
+impl<P: KernelPolicy> Default for SimdBackend<P> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<P: KernelPolicy> DecodeBackend for SimdBackend<P> {
     fn name(&self) -> &'static str {
-        "auto"
+        P::NAME
     }
 
-    fn decode_u8(&self, req: &DecodeRequest<'_>, out: &mut [u8]) -> Result<(), RecoilError> {
-        self.run_auto(req, out)
+    fn is_available(&self) -> bool {
+        P::FIXED.is_none_or(Kernel::is_available)
     }
 
-    fn decode_u16(&self, req: &DecodeRequest<'_>, out: &mut [u16]) -> Result<(), RecoilError> {
-        self.run_auto(req, out)
+    fn pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_ref()
     }
 
-    fn decode_adaptive(
-        &self,
-        stream: &EncodedStream,
-        metadata: &RecoilMetadata,
-        provider: &dyn ModelProvider,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        decode_pooled(stream, metadata, provider, self.pool.as_ref(), out)
-    }
-
-    fn decode_u8_segments(
+    fn decode_segments(
         &self,
         req: &DecodeRequest<'_>,
         segments: Range<u64>,
-        out: &mut [u8],
+        out: SymbolsMut<'_>,
     ) -> Result<(), RecoilError> {
-        self.run_auto_segments(req, segments, out)
+        if !self.is_available() {
+            return Err(RecoilError::BackendUnavailable { backend: P::NAME });
+        }
+        let kernel = self.selected_kernel(req.stream.ways);
+        match out {
+            SymbolsMut::U8(out) => run_kernel(kernel, req, self.pool(), segments, out),
+            SymbolsMut::U16(out) => run_kernel(kernel, req, self.pool(), segments, out),
+        }
     }
+}
 
-    fn decode_u16_segments(
-        &self,
-        req: &DecodeRequest<'_>,
-        segments: Range<u64>,
-        out: &mut [u16],
-    ) -> Result<(), RecoilError> {
-        self.run_auto_segments(req, segments, out)
+/// Decodes `segments` with `kernel` inside each task of core's engine; the
+/// scalar kernel is core's own fast loop. The memory guards in
+/// [`decode_segment`] keep vector loads inside a resident stream prefix,
+/// falling back to scalar steps near its edge with bit-identical results.
+fn run_kernel<S: Symbol>(
+    kernel: Kernel,
+    req: &DecodeRequest<'_>,
+    pool: Option<&ThreadPool>,
+    segments: Range<u64>,
+    out: &mut [S],
+) -> Result<(), RecoilError> {
+    let DecodeRequest {
+        stream,
+        metadata,
+        model,
+    } = *req;
+    if kernel == Kernel::Scalar {
+        return decode_segments_pooled(stream, metadata, model, pool, segments, out);
     }
+    let simd_model = SimdModel::from_provider(model);
+    let words = &stream.words;
+    decode_segments_with(
+        stream,
+        metadata,
+        model,
+        pool,
+        segments,
+        out,
+        |states, next_read, lo, seg| {
+            let states = states.try_into().map_err(|_| {
+                RansError::MalformedStream(format!(
+                    "SIMD kernels require the 32-way interleave, stream has {}",
+                    stream.ways
+                ))
+            })?;
+            decode_segment(kernel, &simd_model, words, next_read, states, lo, seg)?;
+            Ok(())
+        },
+    )
+    .map_err(RecoilError::from)
 }
 
 #[cfg(test)]
@@ -372,6 +237,12 @@ mod tests {
         assert_eq!(backend.selected_kernel(8), Kernel::Scalar);
         let got: Vec<u8> = codec.decode_with(&backend, &enc).unwrap();
         assert_eq!(got, data);
+        // The explicit kernels report the stream as malformed instead.
+        let explicit: [&dyn DecodeBackend; 2] = [&Avx2Backend::new(), &Avx512Backend::new()];
+        for backend in explicit.into_iter().filter(|b| b.is_available()) {
+            let err = codec.decode_with::<u8>(backend, &enc).unwrap_err();
+            assert!(err.to_string().contains("32-way"), "{err}");
+        }
     }
 
     #[test]

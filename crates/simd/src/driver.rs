@@ -1,4 +1,4 @@
-//! Segment/stream/parallel decode drivers on top of the group kernels.
+//! Segment and stream decode drivers on top of the group kernels.
 //!
 //! The vector kernels run only on aligned 32-symbol groups away from the
 //! stream head (memory guards); everything else — group-unaligned segment
@@ -10,13 +10,10 @@
 use crate::kernel::Kernel;
 use crate::model::SimdModel;
 use crate::scalar::{scalar_group, scalar_step};
-use parking_lot::Mutex;
 use recoil_conventional::ConventionalContainer;
-use recoil_core::{sync_split_states, validate_segment_decode, RecoilMetadata};
 use recoil_models::{StaticModelProvider, Symbol};
-use recoil_parallel::ThreadPool;
+use recoil_parallel::{run_segments, ThreadPool};
 use recoil_rans::{EncodedStream, RansError};
-use std::ops::Range;
 
 /// Words that must remain below the cursor for a vector group (underread
 /// guard: four sub-registers consume at most 32 words).
@@ -29,8 +26,9 @@ const OVERREAD_WORDS: isize = 16;
 /// interleaved stream, starting from `states` and backward word cursor
 /// `next_read`. Returns the cursor after the segment.
 ///
-/// This is the building block shared by the single-thread, Recoil and
-/// Conventional drivers; `lo` need not be group-aligned.
+/// This is the building block shared by the single-thread and Conventional
+/// drivers and by the Recoil backends' segment tasks; `lo` need not be
+/// group-aligned.
 pub fn decode_segment<S: Symbol>(
     kernel: Kernel,
     model: &SimdModel<'_>,
@@ -148,122 +146,6 @@ pub fn decode_interleaved_simd<S: Symbol>(
     Ok(())
 }
 
-/// Recoil parallel decode with SIMD kernels: scalar three-phase sync per
-/// split, vector Decoding/Cross-Boundary phases.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `recoil_core::codec::Codec::decode` with an `Avx2Backend`, `Avx512Backend`, \
-            or `AutoBackend` from `recoil_simd`"
-)]
-pub fn decode_recoil_simd<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    run_recoil_simd(kernel, stream, meta, provider, pool, out)
-}
-
-/// The SIMD Recoil decode engine behind both [`crate::backend`] and the
-/// deprecated [`decode_recoil_simd`] shim.
-pub(crate) fn run_recoil_simd<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    // Whole-stream contract: exact output length, like the scalar engine
-    // (the segment-range engine below only requires coverage).
-    if out.len() as u64 != stream.num_symbols {
-        return Err(RansError::MalformedStream("output length mismatch".into()));
-    }
-    run_recoil_simd_segments(
-        kernel,
-        stream,
-        meta,
-        provider,
-        pool,
-        0..meta.num_segments(),
-        out,
-    )
-}
-
-/// Segment-range variant of [`run_recoil_simd`]: decodes only the metadata
-/// segments in `segments` into their region of the full-stream output
-/// buffer. `stream.words` may be an incomplete prefix covering those
-/// segments (the streaming path); the memory guards in [`decode_segment`]
-/// keep vector loads inside the resident prefix, falling back to scalar
-/// steps near its edge with bit-identical results.
-pub(crate) fn run_recoil_simd_segments<S: Symbol>(
-    kernel: Kernel,
-    stream: &EncodedStream,
-    meta: &RecoilMetadata,
-    provider: &StaticModelProvider,
-    pool: Option<&ThreadPool>,
-    segments: Range<u64>,
-    out: &mut [S],
-) -> Result<(), RansError> {
-    validate_segment_decode(stream, meta, &segments, out.len())?;
-    require_32_ways(stream.ways)?;
-    let (a, b) = (segments.start as usize, segments.end as usize);
-    let tasks = b - a;
-    if tasks == 0 {
-        return Ok(());
-    }
-    let model = SimdModel::from_provider(provider);
-    let bounds = meta.segment_bounds();
-
-    let mut slices: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = &mut out[bounds[a] as usize..bounds[b] as usize];
-    for t in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[a + t + 1] - bounds[a + t]) as usize);
-        slices.push(Mutex::new(seg));
-        rest = tail;
-    }
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |t: usize| {
-        let m = a + t;
-        let task = || -> Result<(), RansError> {
-            let (states_vec, next) = if m < meta.splits.len() {
-                sync_split_states(&meta.splits[m], &stream.words, provider, 32)?
-            } else {
-                let next = (!stream.words.is_empty()).then(|| stream.words.len() as u64 - 1);
-                (stream.final_states.clone(), next)
-            };
-            let mut states = states_array(&states_vec);
-            let mut seg = slices[t].lock();
-            decode_segment(
-                kernel,
-                &model,
-                &stream.words,
-                next,
-                &mut states,
-                bounds[m],
-                &mut seg,
-            )?;
-            Ok(())
-        };
-        if let Err(e) = task() {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
 /// Baseline (B) with SIMD: per-partition vector decode (static models only —
 /// a chunk's positions restart at zero, which only a position-independent
 /// model tolerates).
@@ -279,50 +161,21 @@ pub fn decode_conventional_simd<S: Symbol>(
         return Err(RansError::MalformedStream("output length mismatch".into()));
     }
     let model = SimdModel::from_provider(provider);
-    let bounds = container.symbol_bounds();
-    let tasks = container.chunks.len();
-
-    let mut segments: Vec<Mutex<&mut [S]>> = Vec::with_capacity(tasks);
-    let mut rest = out;
-    for m in 0..tasks {
-        let (seg, tail) = rest.split_at_mut((bounds[m + 1] - bounds[m]) as usize);
-        segments.push(Mutex::new(seg));
-        rest = tail;
-    }
-    let first_error: Mutex<Option<RansError>> = Mutex::new(None);
-    let run_task = |m: usize| {
+    run_segments(pool, &container.symbol_bounds(), out, |m, seg| {
         let chunk = &container.chunks[m];
-        let task = || -> Result<(), RansError> {
-            chunk.validate()?;
-            let mut states = states_array(&chunk.final_states);
-            let next = (!chunk.words.is_empty()).then(|| chunk.words.len() as u64 - 1);
-            let mut seg = segments[m].lock();
-            decode_segment(kernel, &model, &chunk.words, next, &mut states, 0, &mut seg)?;
-            Ok(())
-        };
-        if let Err(e) = task() {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-    };
-    match pool {
-        Some(pool) if tasks > 1 => pool.run(tasks, run_task),
-        _ => (0..tasks).for_each(run_task),
-    }
-    match first_error.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+        chunk.validate()?;
+        let mut states = states_array(&chunk.final_states);
+        let next = (!chunk.words.is_empty()).then(|| chunk.words.len() as u64 - 1);
+        decode_segment(kernel, &model, &chunk.words, next, &mut states, 0, seg)?;
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shims must keep working; tests exercise them
-
     use super::*;
-    use recoil_core::encode_with_splits;
+    use crate::{AutoBackend, Avx2Backend, Avx512Backend};
+    use recoil_core::codec::{Codec, DecodeBackend};
     use recoil_models::CdfTable;
     use recoil_rans::{decode_interleaved, InterleavedEncoder, NullSink};
 
@@ -385,13 +238,17 @@ mod tests {
     #[test]
     fn recoil_simd_matches_scalar_recoil() {
         let data = sample(300_000, 3, 23);
-        let p = StaticModelProvider::new(CdfTable::of_bytes(&data, 11));
-        let c = encode_with_splits(&data, &p, 32, 16);
-        let pool = ThreadPool::new(7);
-        for kernel in Kernel::all_available() {
-            let mut out = vec![0u8; data.len()];
-            decode_recoil_simd(kernel, &c.stream, &c.metadata, &p, Some(&pool), &mut out).unwrap();
-            assert_eq!(out, data, "kernel {kernel:?}");
+        let codec = Codec::builder().max_segments(16).build().unwrap();
+        let enc = codec.encode(&data).unwrap();
+        assert_eq!(codec.decode::<u8>(&enc).unwrap(), data);
+        let backends: [Box<dyn DecodeBackend>; 3] = [
+            Box::new(Avx2Backend::with_pool(ThreadPool::new(7))),
+            Box::new(Avx512Backend::with_pool(ThreadPool::new(7))),
+            Box::new(AutoBackend::with_pool(ThreadPool::new(7))),
+        ];
+        for backend in backends.iter().filter(|b| b.is_available()) {
+            let got: Vec<u8> = codec.decode_with(backend.as_ref(), &enc).unwrap();
+            assert_eq!(got, data, "backend {}", backend.name());
         }
     }
 

@@ -18,9 +18,18 @@
 //!    (everything else), then `x = f * (x >> n) + slot - F`.
 //!
 //! All kernels are bit-exact mirrors of the scalar decoder — property tests
-//! in this crate and `tests/` enforce equality on arbitrary streams — and
-//! they plug into the Recoil three-phase decoder and the Conventional
-//! baseline through the decode drivers.
+//! in this crate and `tests/` enforce equality on arbitrary streams.
+//!
+//! For Recoil streams the kernels run inside core's segment-range engine
+//! (`recoil_core::decode_segments_with`): the engine schedules one task per
+//! segment and runs each split's Synchronization Phase, and
+//! [`decode_segment`] runs the task's Decoding and Cross-Boundary phases.
+//! [`SimdBackend`] wraps this as a `DecodeBackend` that implements the one
+//! required method, `decode_segments`; its [`KernelPolicy`] fixes the
+//! kernel ([`Avx2Backend`], [`Avx512Backend`]) or picks the best available
+//! one ([`AutoBackend`]). The Conventional baseline and plain interleaved
+//! streams use the drivers [`decode_conventional_simd`] and
+//! [`decode_interleaved_simd`].
 
 // Audited unsafe crate: every unsafe operation sits in an explicit block.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -35,13 +44,10 @@ mod kernel;
 mod model;
 mod scalar;
 
-pub use backend::{AutoBackend, Avx2Backend, Avx512Backend};
+pub use backend::{AutoBackend, Avx2Backend, Avx512Backend, KernelPolicy, SimdBackend};
 pub use driver::{decode_conventional_simd, decode_interleaved_simd, decode_segment};
 pub use kernel::Kernel;
 pub use model::SimdModel;
-
-#[allow(deprecated)]
-pub use driver::decode_recoil_simd;
 
 /// The interleave width all SIMD kernels are built for.
 pub const SIMD_WAYS: u32 = 32;

@@ -35,7 +35,7 @@ fn text_dataset_full_pipeline() {
             &encoded.container.stream,
             &m,
             &encoded.model,
-            Some(pooled.pool()),
+            pooled.pool(),
             &mut got,
         )
         .unwrap();
