@@ -632,17 +632,7 @@ fn main() {
             },
         )
         .unwrap();
-        // A tight in-flight budget keeps the pipeline responsive even on a
-        // single core: the receive loop hands off to the decoder every
-        // couple of chunks instead of buffering a long backlog first.
-        let client = NetClient::connect_with(
-            srv.addr(),
-            recoil::net::NetClientConfig {
-                streaming_inflight_chunks: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let client = NetClient::connect(srv.addr()).unwrap();
         // Byte-identity outside the timed loop.
         for (i, data) in datasets.iter().enumerate() {
             client.publish(&item_name(i), data, &config).unwrap();

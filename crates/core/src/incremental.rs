@@ -200,6 +200,14 @@ impl IncrementalDecoder {
         self.metadata.splits.partition_point(|s| s.offset < have) as u64
     }
 
+    /// Takes the decoder apart into the received stream, its metadata and
+    /// the model — what a buffered receiver decodes once the whole
+    /// bitstream has arrived (check [`IncrementalDecoder::is_complete`]
+    /// first: the stream holds only the words received so far).
+    pub fn into_parts(self) -> (EncodedStream, RecoilMetadata, StaticModelProvider) {
+        (self.stream, self.metadata, self.model)
+    }
+
     /// Output symbol range `bounds[m] .. bounds[m+1]` of segment `m`.
     pub fn segment_symbols(&self, m: u64) -> Range<usize> {
         self.bounds[m as usize] as usize..self.bounds[m as usize + 1] as usize
@@ -236,13 +244,11 @@ impl IncrementalDecoder {
                 }
             }
         }
-        let mut pairs = bytes.chunks_exact(2);
-        for pair in &mut pairs {
-            self.stream
-                .words
-                .push(u16::from_le_bytes([pair[0], pair[1]]));
-        }
+        let pairs = bytes.chunks_exact(2);
         self.carry = pairs.remainder().first().copied();
+        self.stream
+            .words
+            .extend(pairs.map(|pair| u16::from_le_bytes([pair[0], pair[1]])));
         Ok(())
     }
 
@@ -401,6 +407,20 @@ mod tests {
             assert!(incr.is_finished(), "len {len}");
             assert_eq!(out, data, "len {len}");
         }
+    }
+
+    #[test]
+    fn into_parts_returns_the_received_stream() {
+        let data = sample(30_000, 11);
+        let enc = encode(&data, 4);
+        let mut incr = incr_for(&enc, &enc.container.metadata);
+        for piece in stream_bytes(&enc).chunks(333) {
+            incr.push_bytes(piece).unwrap();
+        }
+        assert!(incr.is_complete());
+        let (stream, metadata, _) = incr.into_parts();
+        assert_eq!(stream, enc.container.stream);
+        assert_eq!(metadata, enc.container.metadata);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use recoil_core::codec::DecodeBackend;
-use recoil_core::{update_crc32, EncoderConfig, IncrementalDecoder, RecoilError};
-use recoil_net::{splitmix64, NetClient, NetClientConfig, PublishOk, StatsReply};
+use recoil_core::{EncoderConfig, RecoilError};
+use recoil_net::{splitmix64, Fetch, NetClient, NetClientConfig, PublishOk, StatsReply};
 use recoil_simd::AutoBackend;
 use recoil_telemetry::{Telemetry, TelemetryLevel};
 
@@ -294,7 +294,7 @@ impl FabricRouter {
     }
 
     /// Fetches and decodes `name` at `parallel_segments`, streaming
-    /// chunks into an incremental decoder and failing over mid-stream if
+    /// chunks into one [`Fetch`] and failing over mid-stream if
     /// the serving node dies: the next holder gets a RESUME at the exact
     /// word offset received so far, already-decoded segments are never
     /// re-sent, and the result is verified byte-identical (whole-stream
@@ -324,91 +324,60 @@ impl FabricRouter {
         let start = Instant::now();
         let mut attempts: Vec<FetchAttempt> = Vec::new();
         let mut failovers = 0u32;
-        let mut incr: Option<IncrementalDecoder> = None;
+        // One fetch across every node, resumed at the word offset already
+        // received whenever a node dies mid-stream.
+        let mut fetch: Option<Fetch> = None;
         let mut out: Vec<u8> = Vec::new();
         let mut first_segment_nanos = 0u64;
-        let mut crc_state = 0xFFFF_FFFFu32;
-        let mut words_received = 0u64;
-        // Whole-stream (word_bytes, payload_crc, segments) from the first
-        // TRANSMIT header; every later node must agree or it is serving
-        // different content and resume would splice two streams.
-        let mut expected: Option<(u64, u32, u64)> = None;
         let mut last_err = RecoilError::net(format!("no fabric node could serve `{name}`"));
 
         for &node in &order {
-            let from_word = words_received;
-            let mut session =
-                match self.nodes[node]
-                    .client
-                    .start_fetch(name, parallel_segments, from_word)
-                {
-                    Ok(session) => session,
-                    Err(err) => {
-                        // Could not even start a stream here. Transport-level
-                        // failures mark the node down; typed refusals
-                        // (NotFound, Busy) leave health alone.
-                        if matches!(err, RecoilError::Net { .. }) {
-                            self.mark_health(node, false);
-                        }
-                        attempts.push(FetchAttempt {
-                            node,
-                            from_word,
-                            chunk_bytes: 0,
-                            completed: false,
-                        });
-                        last_err = err;
-                        continue;
+            let from_word = fetch.as_ref().map_or(0, Fetch::word_offset);
+            // The first TRANSMIT header that validates starts the fetch.
+            let started = self.nodes[node]
+                .client
+                .start_fetch(name, parallel_segments, from_word)
+                .and_then(|session| {
+                    if fetch.is_none() {
+                        fetch = Some(Fetch::new(session.header.clone())?);
                     }
-                };
-            match expected {
-                None => {
-                    expected = Some((
-                        session.header.word_bytes,
-                        session.header.payload_crc,
-                        session.header.segments,
-                    ));
-                    incr = Some(IncrementalDecoder::new(
-                        session.metadata.clone(),
-                        session.header.final_states.clone(),
-                        session.model.clone(),
-                    )?);
-                }
-                Some((word_bytes, payload_crc, _)) => {
-                    if session.header.word_bytes != word_bytes
-                        || session.header.payload_crc != payload_crc
-                    {
-                        return Err(RecoilError::net(format!(
-                            "node {node} serves different content for `{name}` \
-                             (stream geometry or CRC disagrees with the original header); \
-                             refusing to splice streams"
-                        )));
+                    Ok(session)
+                });
+            let mut session = match started {
+                Ok(session) => session,
+                Err(err) => {
+                    // Could not even start a stream here. Transport-level
+                    // failures mark the node down; typed refusals
+                    // (NotFound, Busy) leave health alone.
+                    if matches!(err, RecoilError::Net { .. }) {
+                        self.mark_health(node, false);
                     }
+                    attempts.push(FetchAttempt {
+                        node,
+                        from_word,
+                        chunk_bytes: 0,
+                        completed: false,
+                    });
+                    last_err = err;
+                    continue;
                 }
-            }
-            let decoder = match incr.as_mut() {
-                Some(decoder) => decoder,
-                None => return Err(RecoilError::net("decoder missing after first header")),
             };
+            let Some(f) = fetch.as_mut() else { continue };
+            // Every node's header must match the one the fetch started
+            // from (trivially so for that first node), or this node serves
+            // different content and its chunks would splice two streams.
+            f.resume(&session.header)?;
 
             let mut node_bytes = 0u64;
             let mut died = false;
             while session.remaining_chunks() > 0 {
                 match session.next_chunk() {
                     Ok(body) => {
-                        // Chunk bodies are whole u16 words by
-                        // construction, so the resume offset below is
-                        // always word-aligned.
-                        crc_state = update_crc32(crc_state, &body);
                         node_bytes += body.len() as u64;
-                        words_received += body.len() as u64 / 2;
-                        decoder.push_bytes(&body)?;
-                        let ready = decoder.ready_symbols();
-                        if ready > out.len() {
-                            out.resize(ready, 0);
-                        }
-                        let before = decoder.decoded_segments();
-                        decoder.decode_ready_segments(self.backend.as_ref(), &mut out)?;
-                        if decoder.decoded_segments() > before && first_segment_nanos == 0 {
+                        f.push(&body)?;
+                        if f.decode_ready(self.backend.as_ref(), &mut out)?
+                            && first_segment_nanos == 0
+                        {
                             first_segment_nanos = start.elapsed().as_nanos() as u64;
                         }
                     }
@@ -435,38 +404,14 @@ impl FabricRouter {
                 continue;
             }
             self.mark_health(node, true);
-
-            let (word_bytes, payload_crc, segments) = match expected {
-                Some(e) => e,
-                None => return Err(RecoilError::net("stream finished without a header")),
-            };
-            if words_received * 2 != word_bytes {
-                return Err(RecoilError::net(format!(
-                    "fabric fetch of `{name}` ended short: {} of {word_bytes} bitstream bytes",
-                    words_received * 2
-                )));
-            }
-            if crc_state ^ 0xFFFF_FFFF != payload_crc {
-                return Err(RecoilError::net(format!(
-                    "bitstream payload checksum mismatch reassembling `{name}` across nodes"
-                )));
-            }
-            if !decoder.is_finished() {
-                return Err(RecoilError::net(format!(
-                    "stream of `{name}` complete but only {} of {} segments decoded",
-                    decoder.decoded_segments(),
-                    decoder.num_segments()
-                )));
-            }
-            out.truncate(decoder.ready_symbols());
-            let total_nanos = start.elapsed().as_nanos() as u64;
+            f.finish()?;
             return Ok(FabricFetch {
                 data: out,
-                segments,
+                segments: f.header().segments,
                 attempts,
                 failovers,
                 first_segment_nanos,
-                total_nanos,
+                total_nanos: start.elapsed().as_nanos() as u64,
             });
         }
         Err(last_err)

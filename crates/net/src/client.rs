@@ -1,8 +1,10 @@
 //! The pooling TCP client: remote publish / request / stats, and a
 //! one-call remote fetch-and-decode through the [`DecodeBackend`]
-//! machinery.
+//! machinery. Every fetch receives through one [`Fetch`]; this file only
+//! moves its frames.
 
 use crate::fault::splitmix64;
+use crate::fetch::Fetch;
 use crate::frame::{
     decode_error, io_err, read_frame, write_frame, FrameType, ReadOutcome, CAP_CHUNKED, CAP_RESUME,
     CAP_TELEMETRY, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -13,16 +15,14 @@ use crate::proto::{
 };
 use parking_lot::Mutex;
 use recoil_core::codec::{DecodeBackend, DecodeRequest, EncoderConfig};
-use recoil_core::{
-    metadata_from_bytes, update_crc32, IncrementalDecoder, RecoilError, RecoilMetadata,
-};
-use recoil_models::{CdfTable, StaticModelProvider};
+use recoil_core::{RecoilError, RecoilMetadata};
+use recoil_models::StaticModelProvider;
 use recoil_rans::EncodedStream;
 use recoil_simd::AutoBackend;
 use recoil_telemetry::{Stage, Telemetry, TelemetryLevel};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Construction knobs for [`NetClient`].
@@ -38,12 +38,6 @@ pub struct NetClientConfig {
     pub response_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// Bounded in-flight budget of the streaming decode pipeline: how many
-    /// received-but-not-yet-decoded chunks
-    /// [`NetClient::fetch_and_decode_streaming`] buffers before the network
-    /// receive loop blocks (backpressure). Memory beyond the output buffer
-    /// and the word store stays constant at roughly `budget × chunk size`.
-    pub streaming_inflight_chunks: usize,
     /// Client-side observability. Defaults to `Counters` (unlike the
     /// server): the client records only a handful of histogram samples per
     /// *call*, not per hot-loop iteration, so the cost is negligible and
@@ -74,7 +68,6 @@ impl Default for NetClientConfig {
             read_timeout: Duration::from_millis(250),
             response_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(10),
-            streaming_inflight_chunks: 4,
             telemetry: TelemetryLevel::Counters,
             retry_budget: 2,
             retry_base_backoff: Duration::from_millis(10),
@@ -170,15 +163,15 @@ pub struct StreamedFetch {
     pub total_bytes: u64,
     /// CHUNK frames the transfer arrived in (split-aligned server plan).
     pub chunk_count: u32,
-    /// Decode dispatches the pipeline issued (each covering one or more
+    /// Decode dispatches the fetch issued (each covering one or more
     /// newly resident segments).
     pub decode_batches: u64,
     /// Nanoseconds from request start until the **first** segment's symbols
     /// were fully decoded — the streaming win: this lands well before the
     /// transfer itself finishes.
     pub first_segment_nanos: u64,
-    /// Nanoseconds from request start until the last chunk was received and
-    /// the payload CRC verified.
+    /// Nanoseconds from request start until the last chunk was received
+    /// (before its segments were decoded).
     pub transfer_nanos: u64,
     /// Nanoseconds from request start until every segment was decoded.
     pub total_nanos: u64,
@@ -521,15 +514,12 @@ impl NetClient {
             parallel_segments,
         };
         self.with_conn(true, move |client, conn| {
-            write_frame(conn, FrameType::Request, &msg.encode()).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::Transmit {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected TRANSMIT, got {ty:?}"
-                ))));
-            }
-            let header = TransmitHeader::decode(&payload).map_err(OpError::Transport)?;
-            client.receive_content(conn, header)
+            let header = client.await_transmit(conn, FrameType::Request, &msg.encode())?;
+            // A mid-stream ERROR frame still leaves chunks unread: any
+            // failure from here on desynchronizes the connection.
+            client
+                .receive_content(conn, header)
+                .map_err(OpError::Transport)
         })
     }
 
@@ -558,102 +548,57 @@ impl NetClient {
         })
     }
 
-    /// Drains the chunked word payload and rebuilds validated decode
-    /// inputs. Any failure here is a transport error: frames were consumed
-    /// or corrupt, so the connection is not reusable.
+    /// Sends one REQUEST (or RESUME) frame and waits for the TRANSMIT
+    /// header that opens the chunked response.
+    fn await_transmit(
+        &self,
+        conn: &mut TcpStream,
+        ty: FrameType,
+        body: &[u8],
+    ) -> Result<TransmitHeader, OpError> {
+        write_frame(conn, ty, body).map_err(OpError::Transport)?;
+        let (ty, payload) = self.await_frame(conn)?;
+        if ty != FrameType::Transmit {
+            return Err(OpError::Transport(RecoilError::net(format!(
+                "expected TRANSMIT, got {ty:?}"
+            ))));
+        }
+        TransmitHeader::decode(&payload).map_err(OpError::Transport)
+    }
+
+    /// Drives a [`Fetch`] to completion over the chunked word payload and
+    /// returns the validated decode inputs.
     fn receive_content(
         &self,
         conn: &mut TcpStream,
         header: TransmitHeader,
-    ) -> Result<RemoteContent, OpError> {
-        self.receive_content_inner(conn, header)
-            .map_err(|e| match e {
-                // A mid-stream ERROR frame still means desynchronized
-                // framing for this op (some chunks may remain unread).
-                OpError::Remote(e) | OpError::Transport(e) => OpError::Transport(e),
-            })
-    }
-
-    fn receive_content_inner(
-        &self,
-        conn: &mut TcpStream,
-        header: TransmitHeader,
-    ) -> Result<RemoteContent, OpError> {
-        let bad = |msg: String| OpError::Transport(RecoilError::net(msg));
-        let (model, metadata) = validate_transmit_header(&header).map_err(OpError::Transport)?;
-
-        // The reservation is capped: `word_bytes` is attacker-controlled,
-        // so growth beyond 1 MiB only happens as real chunk bytes arrive
-        // (each bounded by the frame cap and the declared total).
-        let mut word_le = Vec::with_capacity((header.word_bytes as usize).min(1 << 20));
-        let mut crc_state = 0xFFFF_FFFFu32;
-        for seq in 0..header.chunk_count {
-            let body = self.await_chunk(conn, seq)?;
-            if word_le.len() + body.len() > header.word_bytes as usize {
-                return Err(bad("chunked payload overruns declared size".into()));
-            }
-            crc_state = update_crc32(crc_state, &body);
-            word_le.extend_from_slice(&body);
+    ) -> Result<RemoteContent, RecoilError> {
+        let mut fetch = Fetch::new(header)?;
+        for seq in 0..fetch.header().chunk_count {
+            fetch.push(&self.await_chunk(conn, seq)?)?;
         }
-        if word_le.len() != header.word_bytes as usize {
-            return Err(bad(format!(
-                "chunked payload short: {} of {} bytes",
-                word_le.len(),
-                header.word_bytes
-            )));
-        }
-        if crc_state ^ 0xFFFF_FFFF != header.payload_crc {
-            return Err(bad("bitstream payload checksum mismatch".into()));
-        }
-
-        let stream = EncodedStream {
-            words: word_le
-                .chunks_exact(2)
-                .map(|b| u16::from_le_bytes(b.try_into().expect("2")))
-                .collect(),
-            final_states: header.final_states.clone(),
-            num_symbols: header.num_symbols,
-            ways: header.ways,
-        };
-        stream
-            .validate()
-            .map_err(|e| bad(format!("received stream is inconsistent: {e}")))?;
-        metadata
-            .validate_against(&stream)
-            .map_err(|e| bad(format!("received metadata is inconsistent: {e}")))?;
-
-        Ok(RemoteContent {
-            stream,
-            metadata,
-            metadata_bytes: header.metadata,
-            model,
-            segments: header.segments,
-            cache_hit: header.cache_hit,
-            combine_nanos: header.combine_nanos,
-        })
+        fetch.into_content()
     }
 
     /// Reads one CHUNK frame, checks its sequence number, and returns the
-    /// body with the 4-byte sequence prefix stripped (zero-copy tail
-    /// split).
-    fn await_chunk(&self, conn: &mut TcpStream, seq: u32) -> Result<Vec<u8>, OpError> {
-        await_chunk_on(conn, self.config.response_timeout, seq)
+    /// body with the 4-byte sequence prefix stripped.
+    fn await_chunk(&self, conn: &mut TcpStream, seq: u32) -> Result<Vec<u8>, RecoilError> {
+        await_chunk_on(conn, self.config.response_timeout, seq).map_err(OpError::into_inner)
     }
 
     /// One call from name to decoded bytes with the network transfer and
-    /// the decode **overlapped**: chunks feed an [`IncrementalDecoder`] as
-    /// they arrive, and every segment that becomes resident is dispatched
-    /// to the configured backend (whose thread pool, if any, decodes the
-    /// batch in parallel) while later chunks are still on the wire.
+    /// the decode **overlapped**: each chunk feeds the fetch's
+    /// [`IncrementalDecoder`](recoil_core::IncrementalDecoder) as it
+    /// arrives, and every segment that becomes resident is decoded through
+    /// the configured backend (whose thread pool, if any, decodes the batch
+    /// in parallel) before the next chunk is read, while later chunks are
+    /// still on the wire.
     ///
-    /// The pipeline is two stages under a bounded in-flight budget
-    /// ([`NetClientConfig::streaming_inflight_chunks`]): the calling thread
-    /// receives and CRC-checks chunks, a scoped decoder thread drains them.
-    /// When the decoder falls behind, the receive loop blocks on the full
-    /// channel — backpressure, not unbounded buffering. The result is
-    /// byte-identical to [`NetClient::fetch_and_decode`]; the streaming CRC
-    /// over the reassembled payload is still verified, and the call fails
-    /// (discarding output) if it mismatches.
+    /// Everything runs on the calling thread; the socket buffers the
+    /// chunks in flight during a decode. The result is byte-identical to
+    /// [`NetClient::fetch_and_decode`]; the CRC over the reassembled
+    /// payload is still verified, and the call fails (discarding output)
+    /// if it mismatches.
     pub fn fetch_and_decode_streaming(
         &self,
         name: &str,
@@ -666,172 +611,63 @@ impl NetClient {
         };
         self.with_conn(true, move |client, conn| {
             let t0 = Instant::now();
-            write_frame(conn, FrameType::Request, &msg.encode()).map_err(OpError::Transport)?;
-            let (ty, payload) = client.await_frame(conn)?;
-            if ty != FrameType::Transmit {
-                return Err(OpError::Transport(RecoilError::net(format!(
-                    "expected TRANSMIT, got {ty:?}"
-                ))));
-            }
-            let header = TransmitHeader::decode(&payload).map_err(OpError::Transport)?;
+            let header = client.await_transmit(conn, FrameType::Request, &msg.encode())?;
+            // Mid-stream failures leave unread chunks on the wire: the
+            // connection is desynchronized either way.
             client
                 .receive_streaming(conn, header, t0)
-                .map_err(|e| match e {
-                    // Mid-stream failures leave unread chunks on the wire:
-                    // the connection is desynchronized either way.
-                    OpError::Remote(e) | OpError::Transport(e) => OpError::Transport(e),
-                })
+                .map_err(OpError::Transport)
         })
     }
 
-    /// The streaming receive/decode pipeline behind
+    /// The push-then-decode drive behind
     /// [`NetClient::fetch_and_decode_streaming`].
     fn receive_streaming(
         &self,
         conn: &mut TcpStream,
         header: TransmitHeader,
         t0: Instant,
-    ) -> Result<StreamedFetch, OpError> {
-        let bad = |msg: String| OpError::Transport(RecoilError::net(msg));
-        let (model, metadata) = validate_transmit_header(&header).map_err(OpError::Transport)?;
-        // Same accounting as `RemoteContent::total_bytes` /
-        // `EncodedStream::payload_bytes`: words + final states + fixed
-        // stream header, plus the metadata blob.
-        let total_bytes = header.word_bytes
-            + header.final_states.len() as u64 * 4
-            + EncodedStream::HEADER_BYTES
-            + header.metadata.len() as u64;
-        let incr = IncrementalDecoder::new(metadata, header.final_states.clone(), model)
-            .map_err(OpError::Transport)?;
-        let backend = self.backend.as_ref();
-        if !backend.is_available() {
-            return Err(OpError::Transport(RecoilError::BackendUnavailable {
-                backend: backend.name(),
-            }));
-        }
-
-        /// How the receive loop ended when it did not fail outright.
-        enum RecvEnd {
-            /// Every chunk arrived and the payload CRC verified.
-            Complete { transfer_nanos: u64 },
-            /// The decoder hung up mid-transfer (its error is authoritative).
-            DecoderClosed,
-        }
-
-        let budget = self.config.streaming_inflight_chunks.max(1);
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(budget);
-        let (recv_result, decode_result) = std::thread::scope(|s| {
-            let decoder = s.spawn(move || -> Result<(Vec<u8>, u64, u64), RecoilError> {
-                let mut incr = incr;
-                // Grown with readiness, never from the declared header: a
-                // hostile server must actually send bytes to make this
-                // allocation happen (the buffered path's invariant).
-                let mut out: Vec<u8> = Vec::new();
-                let mut first: Option<u64> = None;
-                let mut batches = 0u64;
-                let mut drain =
-                    |incr: &mut IncrementalDecoder, out: &mut Vec<u8>| -> Result<(), RecoilError> {
-                        let need = incr.ready_symbols();
-                        if need > out.len() {
-                            out.resize(need, 0);
-                        }
-                        let before = incr.decoded_segments();
-                        incr.decode_ready_segments(backend, out)?;
-                        if incr.decoded_segments() > before {
-                            batches += 1;
-                            if first.is_none() {
-                                first = Some(t0.elapsed().as_nanos() as u64);
-                            }
-                        }
-                        Ok(())
-                    };
-                while let Ok(body) = rx.recv() {
-                    incr.push_bytes(&body)?;
-                    drain(&mut incr, &mut out)?;
-                }
-                // Sender dropped: the transfer finished (possibly with zero
-                // chunks for an empty stream) or the receive loop failed.
-                drain(&mut incr, &mut out)?;
-                if !incr.is_finished() {
-                    return Err(RecoilError::net(
-                        "bitstream transfer ended before every segment arrived",
-                    ));
-                }
-                Ok((
-                    out,
-                    first.unwrap_or_else(|| t0.elapsed().as_nanos() as u64),
-                    batches,
-                ))
-            });
-
-            let recv = (|| -> Result<RecvEnd, OpError> {
-                let mut crc_state = 0xFFFF_FFFFu32;
-                let mut received = 0u64;
-                for seq in 0..header.chunk_count {
-                    let body = self.await_chunk(conn, seq)?;
-                    received += body.len() as u64;
-                    if received > header.word_bytes {
-                        return Err(bad("chunked payload overruns declared size".into()));
-                    }
-                    crc_state = update_crc32(crc_state, &body);
-                    if tx.send(body).is_err() {
-                        return Ok(RecvEnd::DecoderClosed);
-                    }
-                }
-                if received != header.word_bytes {
-                    return Err(bad(format!(
-                        "chunked payload short: {received} of {} bytes",
-                        header.word_bytes
-                    )));
-                }
-                if crc_state ^ 0xFFFF_FFFF != header.payload_crc {
-                    return Err(bad("bitstream payload checksum mismatch".into()));
-                }
-                Ok(RecvEnd::Complete {
-                    transfer_nanos: t0.elapsed().as_nanos() as u64,
-                })
-            })();
-            drop(tx); // unblock the decoder's recv loop
-            let decode = decoder
-                .join()
-                .unwrap_or_else(|_| Err(RecoilError::net("streaming decoder thread panicked")));
-            (recv, decode)
-        });
-
-        match (recv_result, decode_result) {
-            // A real transport failure outranks the decoder's secondary
-            // "transfer ended early" complaint.
-            (Err(e), _) => Err(e),
-            // The receive loop stopped because the decoder hit an error;
-            // that error is the root cause.
-            (Ok(RecvEnd::DecoderClosed), Err(e)) => Err(OpError::Transport(e)),
-            (Ok(RecvEnd::DecoderClosed), Ok(_)) => {
-                Err(bad("decoder hung up without reporting an error".into()))
-            }
-            (Ok(RecvEnd::Complete { .. }), Err(e)) => Err(OpError::Transport(e)),
-            (Ok(RecvEnd::Complete { transfer_nanos }), Ok((data, first, batches))) => {
-                let total_nanos = t0.elapsed().as_nanos() as u64;
-                if self.telemetry.counters_enabled() {
-                    let h = &self.telemetry.hists;
-                    h.stream_first_segment_ns.record(first);
-                    h.stream_transfer_ns.record(transfer_nanos);
-                    h.stream_total_ns.record(total_nanos);
-                    self.telemetry.trace(Stage::StreamFirstSegment, 0, first);
-                }
-                Ok(StreamedFetch {
-                    data,
-                    segments: header.segments,
-                    cache_hit: header.cache_hit,
-                    combine_nanos: header.combine_nanos,
-                    total_bytes,
-                    chunk_count: header.chunk_count,
-                    decode_batches: batches,
-                    first_segment_nanos: first,
-                    transfer_nanos,
-                    total_nanos,
-                })
+    ) -> Result<StreamedFetch, RecoilError> {
+        let elapsed = || t0.elapsed().as_nanos() as u64;
+        let mut fetch = Fetch::new(header)?;
+        let mut data = Vec::new();
+        let (mut first, mut batches, mut transfer_nanos) = (None, 0u64, 0u64);
+        for seq in 0..fetch.header().chunk_count {
+            fetch.push(&self.await_chunk(conn, seq)?)?;
+            transfer_nanos = elapsed();
+            if fetch.decode_ready(self.backend.as_ref(), &mut data)? {
+                batches += 1;
+                first.get_or_insert_with(elapsed);
             }
         }
+        fetch.finish()?;
+        let total_nanos = elapsed();
+        let first = first.unwrap_or(total_nanos);
+        if self.telemetry.counters_enabled() {
+            let h = &self.telemetry.hists;
+            h.stream_first_segment_ns.record(first);
+            h.stream_transfer_ns.record(transfer_nanos);
+            h.stream_total_ns.record(total_nanos);
+            self.telemetry.trace(Stage::StreamFirstSegment, 0, first);
+        }
+        let header = fetch.header();
+        Ok(StreamedFetch {
+            data,
+            segments: header.segments,
+            cache_hit: header.cache_hit,
+            combine_nanos: header.combine_nanos,
+            // Same accounting as `RemoteContent::total_bytes`: words +
+            // final states + fixed stream header, plus the metadata blob.
+            total_bytes: header.word_bytes
+                + header.final_states.len() as u64 * 4
+                + EncodedStream::HEADER_BYTES
+                + header.metadata.len() as u64,
+            chunk_count: header.chunk_count,
+            decode_batches: batches,
+            first_segment_nanos: first,
+            transfer_nanos,
+            total_nanos,
+        })
     }
 
     /// Opens a **dedicated** (never pooled) connection and starts a
@@ -868,44 +704,33 @@ impl NetClient {
             };
             (FrameType::Request, msg.encode())
         };
-        write_frame(&mut conn, ty, &body)?;
-        let (rty, payload) = self.await_frame(&mut conn).map_err(OpError::into_inner)?;
-        if rty != FrameType::Transmit {
-            return Err(RecoilError::net(format!("expected TRANSMIT, got {rty:?}")));
-        }
-        let header = TransmitHeader::decode(&payload)?;
-        let (model, metadata) = validate_transmit_header(&header)?;
+        let header = self
+            .await_transmit(&mut conn, ty, &body)
+            .map_err(OpError::into_inner)?;
         Ok(FetchSession {
             conn,
             response_timeout: self.config.response_timeout,
             header,
-            model,
-            metadata,
             next_seq: 0,
         })
     }
 }
 
-/// A low-level chunked fetch in progress on its own dedicated connection —
-/// the building block failover is driven with. [`NetClient::start_fetch`]
-/// sends REQUEST (or RESUME for `from_word > 0`) and validates the
-/// TRANSMIT header; the caller then pulls chunk bodies one at a time and
-/// feeds them wherever it likes (typically an
-/// [`IncrementalDecoder`](recoil_core::IncrementalDecoder)), keeping
-/// enough state — words received so far — to resume on another node if
-/// this connection dies mid-stream.
+/// A chunk source on its own dedicated connection — the building block
+/// failover is driven with. [`NetClient::start_fetch`] sends REQUEST (or
+/// RESUME for `from_word > 0`) and reads the TRANSMIT header; the caller
+/// then pulls chunk bodies one at a time, typically into a [`Fetch`]
+/// ([`Fetch::new`] on the first header, [`Fetch::resume`] on the next
+/// node's), which holds the state needed to resume elsewhere if this
+/// connection dies mid-stream.
 pub struct FetchSession {
     conn: TcpStream,
     response_timeout: Duration,
-    /// The validated TRANSMIT header. On a resumed serve it still carries
-    /// **whole-stream** geometry and payload CRC (for cross-checking
-    /// against the pre-failure header); only `chunk_count` is trimmed to
-    /// the remaining words.
+    /// The TRANSMIT header as received (not yet validated). On a resumed
+    /// serve it still carries **whole-stream** geometry and payload CRC
+    /// (for cross-checking against the pre-failure header); only
+    /// `chunk_count` is trimmed to the remaining words.
     pub header: TransmitHeader,
-    /// The static model rebuilt from the transmitted frequencies.
-    pub model: StaticModelProvider,
-    /// Parsed shrunk metadata for the requested capacity.
-    pub metadata: RecoilMetadata,
     next_seq: u32,
 }
 
@@ -963,8 +788,9 @@ fn await_frame_on(
     }
 }
 
-/// The free-function core of [`NetClient::await_chunk`], shared with
-/// [`FetchSession`].
+/// Reads one CHUNK frame and checks its sequence number: the one I/O
+/// helper every chunked receive goes through ([`NetClient::await_chunk`]
+/// and [`FetchSession::next_chunk`]).
 fn await_chunk_on(
     conn: &mut TcpStream,
     response_timeout: Duration,
@@ -985,72 +811,6 @@ fn await_chunk_on(
         )));
     }
     Ok(payload.split_off(4))
-}
-
-/// Validates a TRANSMIT header before any chunk bytes arrive and returns
-/// the rebuilt model plus the parsed shrunk metadata — the shared front
-/// half of the buffered and streaming receive paths, public so callers
-/// driving [`FetchSession`]-level resume (the fabric router) can
-/// cross-check a replica's header against the original.
-///
-/// The checks mirror the container file parser: an information-capacity
-/// bound so a hostile header cannot drive the decode-side allocation, the
-/// quantizer invariants on the transmitted frequencies, the metadata's own
-/// CRC footer, and the metadata's geometry against the header's.
-pub fn validate_transmit_header(
-    header: &TransmitHeader,
-) -> Result<(StaticModelProvider, RecoilMetadata), RecoilError> {
-    let bad = |msg: String| RecoilError::net(msg);
-    if !header.word_bytes.is_multiple_of(2) {
-        return Err(bad("odd bitstream byte count".into()));
-    }
-    let n = header.quant_bits;
-    if n == 0 || n > 16 {
-        return Err(bad(format!("bad quantization level {n}")));
-    }
-    let min_bits = ((1u64 << n) as f64).log2() - ((1u64 << n) as f64 - 1.0).log2();
-    let capacity_bits = 8.0 * header.word_bytes as f64 + 16.0 * header.ways as f64;
-    if header.num_symbols as f64 * min_bits > capacity_bits * 1.001 + 64.0 {
-        return Err(bad(format!(
-            "symbol count {} impossible for {} bitstream bytes",
-            header.num_symbols, header.word_bytes
-        )));
-    }
-
-    // Model reconstruction with the container parser's invariants.
-    let freqs: Vec<u32> = header.freqs.iter().map(|&f| f as u32).collect();
-    if freqs.is_empty() {
-        return Err(bad("empty model frequency table".into()));
-    }
-    let sum: u64 = freqs.iter().map(|&f| f as u64).sum();
-    if sum != 1 << n {
-        return Err(bad(format!(
-            "model frequencies sum to {sum}, expected 2^{n}"
-        )));
-    }
-    if freqs.iter().any(|&f| (f as u64) >= (1u64 << n)) {
-        return Err(bad("model frequency reaches 2^n".into()));
-    }
-    let model = StaticModelProvider::new(CdfTable::from_freqs(freqs, n));
-
-    // Metadata bytes carry their own CRC footer; this parses + checks.
-    let metadata = metadata_from_bytes(&header.metadata)?;
-    if metadata.ways != header.ways
-        || metadata.num_symbols != header.num_symbols
-        || metadata.num_words * 2 != header.word_bytes
-    {
-        return Err(bad(format!(
-            "metadata (W={}, N={}, B={}) does not match the transmit header \
-             (W={}, N={}, B={})",
-            metadata.ways,
-            metadata.num_symbols,
-            metadata.num_words,
-            header.ways,
-            header.num_symbols,
-            header.word_bytes / 2
-        )));
-    }
-    Ok((model, metadata))
 }
 
 impl std::fmt::Debug for NetClient {

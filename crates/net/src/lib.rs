@@ -69,16 +69,26 @@
 //! Chunk boundaries are not arbitrary: the server cuts the bitstream with
 //! the **split-aligned chunk plan** ([`recoil_core::plan_chunks`]) for the
 //! served metadata tier, so each chunk completes whole decode segments.
-//! [`NetClient::fetch_and_decode_streaming`] exploits that: arriving chunks
-//! feed a [`recoil_core::IncrementalDecoder`] and every newly resident
-//! segment is decoded — through the client's configured backend and its
-//! thread pool — while later chunks are still on the wire. A bounded
-//! in-flight chunk budget ([`NetClientConfig::streaming_inflight_chunks`])
-//! gives backpressure instead of unbounded buffering; the streaming CRC
-//! check is preserved, and the decoded bytes are guaranteed byte-identical
-//! to the buffered [`NetClient::fetch_and_decode`] path. The returned
+//! [`NetClient::fetch_and_decode_streaming`] exploits that on the calling
+//! thread: after each chunk arrives it decodes every newly resident segment
+//! — through the client's configured backend and its thread pool — before
+//! reading the next, while later chunks wait in the socket buffer. No
+//! decoder thread, channel or in-flight budget is involved. The CRC check
+//! is preserved, and the decoded bytes are guaranteed byte-identical to the
+//! buffered [`NetClient::fetch_and_decode`] path. The returned
 //! [`StreamedFetch`] reports time-to-first-segment, transfer, and total
 //! latency so callers can see how much decode time the transfer hid.
+//!
+//! ## One receive state machine
+//!
+//! Buffered, streaming and routed fetches all receive through one
+//! sans-I/O [`Fetch`]: it validates the TRANSMIT header, takes CHUNK bodies
+//! (overrun check, running CRC-32, incremental decoder), decodes what is
+//! resident, and checks the finished payload. The callers only move
+//! frames. Its resume state is the word offset received so far, which is
+//! what the fabric router hands the next node after a mid-stream death;
+//! [`Fetch::resume`] refuses a new node's header unless every whole-stream
+//! field matches.
 //!
 //! ## Server concurrency model
 //!
@@ -161,15 +171,14 @@
 
 mod client;
 mod fault;
+mod fetch;
 mod frame;
 mod proto;
 mod server;
 
-pub use client::{
-    validate_transmit_header, FetchSession, NetClient, NetClientConfig, RemoteContent,
-    StreamedFetch,
-};
+pub use client::{FetchSession, NetClient, NetClientConfig, RemoteContent, StreamedFetch};
 pub use fault::{splitmix64, FaultPlan};
+pub use fetch::Fetch;
 pub use frame::{
     FrameType, CAP_CHUNKED, CAP_RESUME, CAP_TELEMETRY, HELLO_MAGIC, MAX_FRAME_LEN,
     PROTOCOL_VERSION, SUPPORTED_CAPS,
