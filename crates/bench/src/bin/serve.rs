@@ -15,10 +15,9 @@
 
 use recoil::prelude::*;
 use recoil::server::{Client, ContentServer, ServerConfig};
-use recoil::telemetry::{Histogram, HistogramSnapshot, Telemetry, TelemetryLevel};
+use recoil::telemetry::{Histogram, HistogramSnapshot, TelemetryLevel};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Capacity mix, most popular first; the last entry exceeds every item's
@@ -127,10 +126,10 @@ fn main() {
         tier_cache_capacity: TIERS.len() + 2,
         ..ServerConfig::default()
     });
-    // The server feeds its tier-cache and combine instruments into this
-    // handle; the JSON's stage columns come from the snapshot below.
-    let telemetry = Arc::new(Telemetry::new(TelemetryLevel::Counters));
-    server.attach_telemetry(Arc::clone(&telemetry));
+    // The server records its tier-cache and combine histograms into its
+    // registry at this level; the JSON's stage columns come from the
+    // snapshot below.
+    server.telemetry().set_level(TelemetryLevel::Counters);
     let config = EncoderConfig {
         max_segments: args.max_segments,
         ..EncoderConfig::default()
@@ -218,7 +217,7 @@ fn main() {
     let batch_rps = batch.len() as f64 / batch_wall;
 
     let stats = server.stats();
-    let tel = telemetry.snapshot();
+    let tel = server.telemetry().snapshot();
     let us = |ns: u64| ns as f64 / 1_000.0;
     let combine_p99_us = tel.hist("combine_ns").map_or(0.0, |h| us(h.p99()));
     println!(

@@ -121,24 +121,27 @@
 //! Cache-hit requests resolve through [`ContentServer::fetch_cached`]
 //! without leaving the loop; misses go through [`ContentServer::fetch`],
 //! the atomic name→(transmission, content) lookup, on a worker. The
-//! server's `bytes_served` / `active_connections` /
-//! `rejected_connections` / `evicted_connections` counters and the
+//! server's `bytes_served` / `rejected_connections` /
+//! `evicted_connections` counters and the `active_connections` /
 //! `queue_depth` / `open_slots` gauges surface through the `STATS` frame.
 //! The original thread-per-connection backend completed its deprecation
 //! cycle and has been removed.
 //!
 //! ## Observability
 //!
-//! [`NetConfig::telemetry`] selects a [`recoil_telemetry`] level for the
-//! reactor: `Off` (default, near-zero cost), `Counters` (pipeline counters,
-//! gauges, and stage histograms; hot-path spans are sampled), or `Trace`
-//! (adds a lock-free stage-event ring and times every span). Either side of
-//! the wire can hold the instruments: servers expose theirs through the
-//! `TELEMETRY` frame ([`NetClient::remote_telemetry`]) when both ends
-//! negotiated [`CAP_TELEMETRY`], and clients keep their own handle
-//! ([`NetClient::telemetry`]) recording streaming-fetch latencies. Both
-//! gauges published over STATS and TELEMETRY are written at one point in
-//! the event loop, so the two frames always agree.
+//! A server has one metrics registry: the content server's
+//! [`recoil_telemetry::Telemetry`] ([`ContentServer::telemetry`]). The
+//! reactor writes its connection counters and gauges into it, STATS is
+//! rendered from it and TELEMETRY snapshots it, so the two frames cannot
+//! disagree. [`NetConfig::telemetry`] sets its level at bind: `Off`
+//! (default; only the serving counters and gauges STATS reports record),
+//! `Counters` (adds the pipeline counters and stage histograms; hot-path
+//! spans are sampled), or `Trace` (adds a lock-free stage-event ring and
+//! times every span). Either side of the wire can hold instruments:
+//! servers expose theirs through the `TELEMETRY` frame
+//! ([`NetClient::remote_telemetry`]) when both ends negotiated
+//! [`CAP_TELEMETRY`], and clients keep their own handle
+//! ([`NetClient::telemetry`]) recording streaming-fetch latencies.
 //!
 //! ## Client
 //!

@@ -51,12 +51,13 @@ pub struct NetConfig {
     /// Force the reactor's portable level-triggered `poll(2)` backend
     /// instead of edge-triggered epoll (tests, exotic targets).
     pub poll_fallback: bool,
-    /// How much the pipeline observes itself. `Off` (the default) reduces
-    /// every instrument to one branch on the hot path; `Counters` adds
-    /// counters, gauges, and latency histograms; `Trace` additionally keeps
-    /// the last N stage events in a lock-free ring. Snapshots are served
-    /// over the wire via the negotiated TELEMETRY capability and locally
-    /// via [`NetServerHandle::telemetry`].
+    /// The level bind sets on the content server's registry. `Off` (the
+    /// default) records only the serving counters and gauges STATS reports
+    /// and reduces every other instrument to one branch on the hot path;
+    /// `Counters` adds the pipeline counters and latency histograms;
+    /// `Trace` additionally keeps the last N stage events in a lock-free
+    /// ring. Snapshots are served over the wire via the negotiated
+    /// TELEMETRY capability and locally via [`NetServerHandle::telemetry`].
     pub telemetry: TelemetryLevel,
     /// Dispatch-queue depth at which PUBLISH/REQUEST offloads are shed with
     /// a typed busy error instead of queueing unboundedly behind a slow
@@ -136,7 +137,8 @@ impl NetServerHandle {
         self.backend.content()
     }
 
-    /// Connections currently open.
+    /// Connections currently open (the registry's `active_connections`
+    /// gauge).
     pub fn active_connections(&self) -> usize {
         self.backend.active_connections()
     }
@@ -148,9 +150,10 @@ impl NetServerHandle {
         self.backend.slab_stats()
     }
 
-    /// The server's telemetry handle — the same instruments the TELEMETRY
-    /// wire frame snapshots, for in-process consumers (benches, tests,
-    /// `examples/telemetry_dump.rs`).
+    /// The server's metrics registry — the content server's
+    /// [`ContentServer::telemetry`], which the TELEMETRY wire frame
+    /// snapshots and STATS renders — for in-process consumers (benches,
+    /// tests, `examples/telemetry_dump.rs`).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         self.backend.telemetry()
     }

@@ -71,7 +71,7 @@ use std::mem;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -117,11 +117,11 @@ struct Shared {
     jobs_cv: Condvar,
     completions: Mutex<Vec<Completion>>,
     waker: recoil_reactor::Waker,
-    active: AtomicUsize,
     slab_allocations: AtomicU64,
     slab_reuses: AtomicU64,
-    /// Pipeline telemetry (level fixed at bind; `Off` reduces every
-    /// instrument to one branch).
+    /// The content server's registry, its level set at bind. STATS and
+    /// TELEMETRY both read it; `Off` reduces every level-gated instrument
+    /// to one branch.
     telemetry: Arc<Telemetry>,
     /// Mirror of the locked job queue's length, written under the job lock
     /// on every push/pop, so the event loop publishes the queue-depth gauge
@@ -587,10 +587,7 @@ fn queue_full(shared: &Shared) -> bool {
 /// shed. The connection stays open: the request was never started, so the
 /// peer may retry on this socket after the hint.
 fn stage_busy(conn: &mut Conn, shared: &Shared) {
-    let tel = &shared.telemetry;
-    if tel.counters_enabled() {
-        tel.counters.busy_rejections.bump();
-    }
+    shared.telemetry.counters.queue_sheds.bump();
     stage_error(
         conn,
         &RecoilError::busy(shared.config.busy_retry_after_ms),
@@ -1019,20 +1016,16 @@ impl EventLoop {
         }
     }
 
-    /// Publishes `queue_depth` and `open_slots` from one consistent point
-    /// per loop iteration, to both the legacy STATS gauges on
-    /// [`ContentServer`] and the telemetry gauges — so a STATS and a
-    /// TELEMETRY request served in the same burst always agree.
+    /// Publishes the gauges: once per loop iteration (workers move the
+    /// queue) and right after every slab change, before the loop can serve
+    /// another request, so `active_connections + open_slots` always equals
+    /// the connection cap in a reply.
     fn publish_gauges(&self) {
-        let depth = self.shared.queue_len.load(Ordering::Relaxed);
-        let open = self.conns.open_slots() as u64;
-        self.shared.content.set_queue_depth(depth);
-        self.shared.content.set_open_slots(open);
-        let tel = &self.shared.telemetry;
-        if tel.counters_enabled() {
-            tel.gauges.queue_depth.set(depth);
-            tel.gauges.open_slots.set(open);
-        }
+        let g = &self.shared.telemetry.gauges;
+        g.queue_depth
+            .set(self.shared.queue_len.load(Ordering::Relaxed));
+        g.open_slots.set(self.conns.open_slots() as u64);
+        g.active_connections.set(self.conns.len() as u64);
     }
 
     /// How long the poller may sleep: until the next deadline, capped when
@@ -1124,8 +1117,6 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(token) {
             conn.interest = interest;
         }
-        self.shared.content.connection_opened();
-        self.shared.active.fetch_add(1, Ordering::Relaxed);
         self.publish_slab_stats();
         // The pump below may already serve pipelined STATS/TELEMETRY
         // requests, before this iteration's `publish_gauges`: publish now
@@ -1139,11 +1130,7 @@ impl EventLoop {
     /// parks it in the morgue until the frame flushes and the peer hangs
     /// up.
     fn reject(&mut self, stream: TcpStream, now: Instant) {
-        self.shared.content.connection_rejected();
-        let tel = &self.shared.telemetry;
-        if tel.counters_enabled() {
-            tel.counters.busy_rejections.bump();
-        }
+        self.shared.telemetry.counters.rejected_connections.bump();
         let e = RecoilError::busy(self.shared.config.busy_retry_after_ms);
         let mut bytes = Vec::new();
         append_frame(&mut bytes, FrameType::Error, &encode_error(&e))
@@ -1247,9 +1234,10 @@ impl EventLoop {
             Some(conn)
         });
         self.deadlines.clear(token);
-        self.shared.content.connection_closed();
-        self.shared.active.fetch_sub(1, Ordering::Relaxed);
         self.publish_slab_stats();
+        // A deadline close runs after this iteration's `publish_gauges`,
+        // and the loop may sleep next: publish now.
+        self.publish_gauges();
     }
 
     fn process_completions(&mut self) {
@@ -1355,7 +1343,6 @@ impl EventLoop {
                     // Slow loris: the peer started a frame (or the
                     // handshake) and stopped feeding it. Tell it why,
                     // then drain out.
-                    self.shared.content.connection_evicted();
                     self.note_eviction(token);
                     if let Some(conn) = self.conns.get_mut(token) {
                         stage_error(conn, &RecoilError::net("peer stalled mid-frame"), true);
@@ -1366,7 +1353,6 @@ impl EventLoop {
             Action::EvictWrite => {
                 // The peer stopped consuming its response; nothing more
                 // can be said on a jammed pipe.
-                self.shared.content.connection_evicted();
                 self.note_eviction(token);
                 self.close_conn(token);
             }
@@ -1376,10 +1362,8 @@ impl EventLoop {
 
     fn note_eviction(&self, token: Token) {
         let tel = &self.shared.telemetry;
-        if tel.counters_enabled() {
-            tel.counters.evictions.bump();
-            tel.trace(Stage::Evict, token.0, 0);
-        }
+        tel.counters.evictions.bump();
+        tel.trace(Stage::Evict, token.0, 0);
     }
 
     /// Abrupt death ([`super::NetServerHandle::kill`]): drop the listener
@@ -1419,9 +1403,7 @@ impl EventLoop {
     }
 
     /// Mirrors the slab's allocation/reuse tallies into `Shared` for the
-    /// handle. The `open_slots` gauge is *not* published here — that
-    /// happens once per loop iteration in [`Self::publish_gauges`] so the
-    /// STATS and TELEMETRY views stay consistent.
+    /// handle.
     fn publish_slab_stats(&self) {
         let stats = self.conns.stats();
         self.shared
@@ -1584,10 +1566,9 @@ pub(super) fn bind(
     let chunk_words = config.effective_chunk_words().max(1);
     let workers = config.workers.max(1);
     let max_connections = config.max_connections;
-    let telemetry = Arc::new(Telemetry::new(config.telemetry));
-    // Hand the same instruments to the content layer so tier-cache and
-    // combine metrics land in the snapshot this server exports.
-    content.attach_telemetry(Arc::clone(&telemetry));
+    let telemetry = Arc::clone(content.telemetry());
+    telemetry.set_level(config.telemetry);
+    telemetry.gauges.open_slots.set(max_connections as u64);
     let shared = Arc::new(Shared {
         content,
         config,
@@ -1600,12 +1581,10 @@ pub(super) fn bind(
         jobs_cv: Condvar::new(),
         completions: Mutex::new(Vec::new()),
         waker: wake.waker(),
-        active: AtomicUsize::new(0),
         queue_len: AtomicU64::new(0),
         slab_allocations: AtomicU64::new(0),
         slab_reuses: AtomicU64::new(0),
     });
-    shared.content.set_open_slots(max_connections as u64);
 
     let mut event_loop = EventLoop {
         shared: Arc::clone(&shared),
@@ -1655,7 +1634,8 @@ impl ReactorHandle {
     }
 
     pub(super) fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Relaxed)
+        let open = self.shared.telemetry.gauges.active_connections.get();
+        usize::try_from(open).unwrap_or(usize::MAX)
     }
 
     pub(super) fn slab_stats(&self) -> SlabStats {

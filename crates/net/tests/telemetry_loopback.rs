@@ -268,3 +268,112 @@ fn telemetry_capability_is_negotiated_not_assumed() {
     quiet.shutdown();
     server.shutdown();
 }
+
+/// Connects, sends the first bytes of a HELLO frame and stops: the server
+/// must evict the connection once its read deadline passes (slow loris).
+fn start_slow_loris(addr: std::net::SocketAddr) -> TcpStream {
+    let mut frame = Vec::new();
+    let hello = Hello {
+        version: PROTOCOL_VERSION,
+        capabilities: CAP_CHUNKED,
+    };
+    write_frame(&mut frame, FrameType::Hello, &hello.encode()).unwrap();
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(&frame[..3]).unwrap();
+    conn
+}
+
+fn raw_stats(conn: &mut TcpStream) -> recoil_server::ServerStats {
+    write_frame(conn, FrameType::Stats, &[]).unwrap();
+    let (ty, payload) = await_reply(conn);
+    assert_eq!(ty, FrameType::StatsReply);
+    StatsReply::decode(&payload).unwrap().stats
+}
+
+/// One registry: on an `Off` server, STATS and TELEMETRY report the same
+/// serving counters, under their names, after tier hits, misses, a failed
+/// request and a slow-loris eviction.
+#[test]
+fn stats_and_telemetry_are_one_registry_at_off() {
+    let server = start_server(TelemetryLevel::Off);
+    let data = sample(120_000, 11);
+    let client = NetClient::connect_with(
+        server.addr(),
+        NetClientConfig {
+            telemetry: TelemetryLevel::Off,
+            ..NetClientConfig::default()
+        },
+    )
+    .unwrap();
+    client
+        .publish("item", &data, &EncoderConfig::default())
+        .unwrap();
+    // Two tiers, each a miss and then a hit.
+    for segments in [4, 8, 4, 8] {
+        assert_eq!(client.fetch_and_decode("item", segments).unwrap(), data);
+    }
+    assert!(client.fetch_and_decode("missing", 4).is_err());
+
+    let mut loris = start_slow_loris(server.addr());
+    loris
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // The eviction ERROR, then the server's half-close.
+    let mut evicted = Vec::new();
+    std::io::Read::read_to_end(&mut loris, &mut evicted).unwrap();
+    assert!(!evicted.is_empty(), "the evicted peer is told why");
+    drop(loris);
+
+    let stats = client.stats().unwrap().stats;
+    let reply = client.remote_telemetry().unwrap();
+    let tel = &reply.snapshot;
+    assert_eq!(tel.level, TelemetryLevel::Off);
+    assert_eq!(stats.requests, 5);
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2));
+    assert_eq!(stats.evicted_connections, 1);
+    assert!(stats.bytes_served > 0);
+    for (name, value) in [
+        ("requests", stats.requests),
+        ("cache_hits", stats.cache_hits),
+        ("cache_misses", stats.cache_misses),
+        ("bytes_served", stats.bytes_served),
+        ("evictions", stats.evicted_connections),
+    ] {
+        assert_eq!(tel.counter(name), Some(value), "{name}");
+    }
+    server.shutdown();
+}
+
+/// Regression: a deadline close publishes the gauges at once. The loop used
+/// to refresh `open_slots` only at its next iteration, after serving that
+/// iteration's requests, so a STATS served right after a drain timeout saw
+/// the freed slot in `active_connections` but not in `open_slots`.
+#[test]
+fn gauges_sum_to_the_cap_across_a_deadline_close() {
+    let server = start_server(TelemetryLevel::Off);
+    let cap = NetConfig::default().max_connections as u64;
+    let (mut watcher, _) = raw_hello_with_caps(server.addr(), CAP_CHUNKED);
+    // Held open and never read: the server evicts it at the read deadline,
+    // then closes it when its drain times out — both deadline closes.
+    let loris = start_slow_loris(server.addr());
+    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let s = raw_stats(&mut watcher);
+        assert_eq!(s.active_connections + s.open_slots, cap, "{s:?}");
+        if s.evicted_connections == 1 && s.active_connections == 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < give_up,
+            "loris never closed: {s:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A few more replies after the close, for good measure.
+    for _ in 0..3 {
+        let s = raw_stats(&mut watcher);
+        assert_eq!(s.active_connections + s.open_slots, cap, "{s:?}");
+    }
+    drop(loris);
+    server.shutdown();
+}

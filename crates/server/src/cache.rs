@@ -11,9 +11,9 @@
 //! segments against content encoded with 128 serves the 128-segment tier,
 //! and therefore shares a cache entry with an explicit 128-segment request.
 
-use crate::stats::{bump, StatsCounters};
 use parking_lot::Mutex;
 use recoil_core::RecoilMetadata;
+use recoil_telemetry::Counter;
 use std::sync::Arc;
 
 /// One shrunk, ready-to-serve metadata tier: the combined metadata and its
@@ -61,13 +61,13 @@ impl TierCache {
     }
 
     /// Inserts `tier` as most-recently-used, evicting the least recently
-    /// used entry when full, and bumps `stats.cache_evictions` accordingly.
+    /// used entry when full, and bumps `evictions` accordingly.
     ///
     /// Two threads can miss the same tier concurrently and both compute it
     /// (combining happens outside the cache lock on purpose); whichever
     /// insert lands second adopts the already-cached entry, so every caller
     /// ends up sharing one allocation. Returns the entry to serve.
-    pub fn insert(&self, tier: Arc<ShrunkTier>, stats: &StatsCounters) -> Arc<ShrunkTier> {
+    pub fn insert(&self, tier: Arc<ShrunkTier>, evictions: &Counter) -> Arc<ShrunkTier> {
         let mut tiers = self.tiers.lock();
         if let Some(idx) = tiers.iter().position(|(t, _)| t == &tier.segments) {
             tiers[..=idx].rotate_right(1);
@@ -75,7 +75,7 @@ impl TierCache {
         }
         if tiers.len() == self.capacity {
             tiers.pop();
-            bump(&stats.cache_evictions);
+            evictions.bump();
         }
         tiers.insert(0, (tier.segments, Arc::clone(&tier)));
         tier
@@ -108,37 +108,37 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_served() {
-        let stats = StatsCounters::default();
+        let evictions = Counter::new();
         let cache = TierCache::new(2);
-        cache.insert(tier(1), &stats);
-        cache.insert(tier(2), &stats);
+        cache.insert(tier(1), &evictions);
+        cache.insert(tier(2), &evictions);
         assert!(cache.get(1).is_some()); // 1 is now MRU
-        cache.insert(tier(3), &stats); // evicts 2
+        cache.insert(tier(3), &evictions); // evicts 2
         assert!(cache.get(2).is_none());
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
         assert_eq!(cache.len(), 2);
-        assert_eq!(stats.snapshot().cache_evictions, 1);
+        assert_eq!(evictions.get(), 1);
     }
 
     #[test]
     fn racing_inserts_converge_on_one_entry() {
-        let stats = StatsCounters::default();
+        let evictions = Counter::new();
         let cache = TierCache::new(4);
-        let first = cache.insert(tier(7), &stats);
-        let second = cache.insert(tier(7), &stats);
+        let first = cache.insert(tier(7), &evictions);
+        let second = cache.insert(tier(7), &evictions);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
-        assert_eq!(stats.snapshot().cache_evictions, 0);
+        assert_eq!(evictions.get(), 0);
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        let stats = StatsCounters::default();
+        let evictions = Counter::new();
         let cache = TierCache::new(0);
-        cache.insert(tier(1), &stats);
+        cache.insert(tier(1), &evictions);
         assert!(cache.get(1).is_some());
-        cache.insert(tier(2), &stats);
+        cache.insert(tier(2), &evictions);
         assert!(cache.get(1).is_none());
         assert!(cache.get(2).is_some());
     }

@@ -37,11 +37,21 @@
 //! The cache key is the **post-clamp segment count** — the tier actually
 //! served, not the capacity the client asked for. Content encoded with 128
 //! segments serves a 10 000-segment request and a 128-segment request from
-//! the same entry. A hit costs two atomic counter bumps and an `Arc` clone;
+//! the same entry. A hit costs a few relaxed counter adds and an `Arc` clone;
 //! only a miss pays the real-time combine + serialize, and its
 //! [`Transmission::combine_nanos`] records exactly that cost (hits report
-//! zero). Hit/miss/eviction counters are exposed as a [`ServerStats`]
-//! snapshot via [`ContentServer::stats`].
+//! zero).
+//!
+//! ## One metrics registry
+//!
+//! Each server owns one [`recoil_telemetry::Telemetry`] registry from
+//! construction ([`ContentServer::telemetry`], level `Off` until a
+//! transport or bench raises it). The serve path counts publishes,
+//! requests, tier hits/misses/evictions and bytes served into it at every
+//! level; a transport adds its connection counters and gauges.
+//! [`ContentServer::stats`] renders the [`ServerStats`] snapshot (the STATS
+//! frame) from those instruments, and the TELEMETRY frame snapshots the
+//! same registry, so the two views cannot disagree.
 //!
 //! [`RecoilMetadata`]: recoil_core::RecoilMetadata
 

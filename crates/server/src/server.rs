@@ -1,7 +1,7 @@
 //! The encode-once, combine-per-request server.
 
 use crate::cache::{ShrunkTier, TierCache};
-use crate::stats::{add, bump, set, ServerStats, StatsCounters};
+use crate::stats::ServerStats;
 use parking_lot::{Mutex, RwLock};
 use recoil_core::codec::{Codec, EncoderConfig};
 use recoil_core::{
@@ -11,6 +11,7 @@ use recoil_core::{
 use recoil_models::StaticModelProvider;
 use recoil_parallel::ThreadPool;
 use recoil_rans::EncodedStream;
+use recoil_telemetry::Telemetry;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -72,8 +73,9 @@ impl StoredContent {
         self.hits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    /// Counts one served request; returns the prior count.
+    fn note_hit(&self) -> u64 {
+        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -151,8 +153,9 @@ impl Default for ServerConfig {
 /// In-memory content server with decoder-adaptive responses.
 ///
 /// All methods take `&self`: the store is sharded under reader-writer
-/// locks, the tier caches and counters use interior mutability, so one
-/// server instance is shared freely across request threads.
+/// locks, the tier caches and the telemetry registry use interior
+/// mutability, so one server instance is shared freely across request
+/// threads.
 pub struct ContentServer {
     shards: Vec<RwLock<HashMap<String, Arc<StoredContent>>>>,
     /// Names with a publish currently encoding. Claimed before the encode
@@ -162,17 +165,10 @@ pub struct ContentServer {
     /// Persistent pool for [`ContentServer::request_batch`] and the
     /// segment-parallel encode behind [`ContentServer::publish`].
     pool: ThreadPool,
-    stats: StatsCounters,
     tier_cache_capacity: usize,
-    /// Optional pipeline telemetry, attached once by the transport layer
-    /// (or a bench harness). Never replaces [`StatsCounters`] — STATS keeps
-    /// its fixed wire shape; telemetry adds distributions on top.
-    telemetry: OnceLock<Arc<recoil_telemetry::Telemetry>>,
-    /// The attached handle's level as a plain byte (0 = none/off,
-    /// 1 = counters, 2 = trace), so the per-request hit path decides
-    /// whether to record with one owned-line load instead of chasing the
-    /// `OnceLock -> Arc -> level` pointers on every request.
-    tel_level: std::sync::atomic::AtomicU8,
+    /// The one metrics registry: [`ContentServer::stats`] renders from it,
+    /// a transport shares it (and sets its level) for TELEMETRY.
+    telemetry: Arc<Telemetry>,
 }
 
 impl Default for ContentServer {
@@ -195,56 +191,38 @@ impl ContentServer {
             shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             publishing: Mutex::new(HashSet::new()),
             pool: ThreadPool::new(config.batch_workers),
-            stats: StatsCounters::default(),
             tier_cache_capacity: config.tier_cache_capacity.max(1),
-            telemetry: OnceLock::new(),
-            tel_level: std::sync::atomic::AtomicU8::new(0),
+            telemetry: Arc::new(Telemetry::off()),
         }
     }
 
-    /// Attaches a telemetry handle; the serve path then records tier-cache
-    /// hit/miss segment distributions and combine latencies into it. First
-    /// attach wins (idempotent for the common single-transport case).
-    pub fn attach_telemetry(&self, telemetry: Arc<recoil_telemetry::Telemetry>) {
-        if self.telemetry.set(Arc::clone(&telemetry)).is_ok() {
-            let level = if telemetry.trace_enabled() {
-                2
-            } else if telemetry.counters_enabled() {
-                1
-            } else {
-                0
-            };
-            self.tel_level
-                .store(level, std::sync::atomic::Ordering::Release);
-        }
+    /// Sets this server's registry to the level of `telemetry`; the handle
+    /// itself is not kept, so read the instruments through
+    /// [`ContentServer::telemetry`]. Equivalent to
+    /// `self.telemetry().set_level(telemetry.level())`, which new code
+    /// should call instead; this method remains only for the benchmark
+    /// harness, which still calls it.
+    pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
+        self.telemetry.set_level(telemetry.level());
     }
 
-    /// The attached telemetry handle, if any — handed out so transports and
-    /// benches snapshot the same instruments the serve path records into.
-    pub fn telemetry(&self) -> Option<&Arc<recoil_telemetry::Telemetry>> {
-        self.telemetry.get()
+    /// The server's metrics registry, at level `Off` until someone raises
+    /// it. STATS reads its serving counters and gauges at every level; a
+    /// transport writes its connection instruments into it and serves it
+    /// as TELEMETRY.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
-    /// The attached handle, only when it actually records.
-    fn tel(&self) -> Option<&recoil_telemetry::Telemetry> {
-        self.telemetry
-            .get()
-            .map(Arc::as_ref)
-            .filter(|t| t.counters_enabled())
-    }
-
-    /// Tier-cache hit instrumentation for the serving hot loop. The level
-    /// check is one relaxed byte load ([`ContentServer::tel_level`]); at
-    /// `Counters` the histogram samples 1-in-32 using the already-bumped
-    /// hit counter as the phase, at `Trace` every hit records. Exact hit
-    /// counts always live in the server's own stats.
+    /// Tier-cache hit instrumentation for the serving hot loop: at
+    /// `Counters` the histogram samples 1-in-32, taking the phase from the
+    /// item's prior hit count; at `Trace` every hit records. The exact hit
+    /// count is the `cache_hits` counter.
     #[inline]
-    fn record_tier_hit(&self, hits: u64, segments: u64) {
-        let level = self.tel_level.load(std::sync::atomic::Ordering::Relaxed);
-        if level >= 2 || (level == 1 && hits & 31 == 0) {
-            if let Some(t) = self.telemetry.get() {
-                t.hists.tier_hit_segments.record(segments);
-            }
+    fn record_tier_hit(&self, phase: u64, segments: u64) {
+        let t = &self.telemetry;
+        if t.counters_enabled() && (phase & 31 == 0 || t.trace_enabled()) {
+            t.hists.tier_hit_segments.record(segments);
         }
     }
 
@@ -293,7 +271,8 @@ impl ContentServer {
         let codec = Codec::from_config(config.clone())?;
         let t0 = Instant::now();
         let encoded = codec.encode_pooled(data, &self.pool)?;
-        if let Some(t) = self.tel() {
+        let t = &self.telemetry;
+        if t.counters_enabled() {
             t.hists
                 .encode_ns
                 .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -323,7 +302,7 @@ impl ContentServer {
         if !inserted {
             return Err(taken());
         }
-        bump(&self.stats.publishes);
+        t.counters.publishes.bump();
         Ok(content)
     }
 
@@ -368,7 +347,7 @@ impl ContentServer {
     /// Snapshot of the serving counters (cache hits/misses/evictions,
     /// publishes, requests).
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        ServerStats::read(&self.telemetry)
     }
 
     /// Threads a [`ContentServer::request_batch`] call fans out over.
@@ -404,7 +383,7 @@ impl ContentServer {
         name: &str,
         parallel_segments: u64,
     ) -> Result<(Transmission, Arc<StoredContent>), RecoilError> {
-        bump(&self.stats.requests);
+        self.telemetry.counters.requests.bump();
         if parallel_segments == 0 {
             return Err(RecoilError::config(
                 "parallel_segments",
@@ -435,15 +414,16 @@ impl ContentServer {
         name: &str,
         parallel_segments: u64,
     ) -> Result<Option<(Transmission, Arc<StoredContent>)>, RecoilError> {
+        let c = &self.telemetry.counters;
         if parallel_segments == 0 {
-            bump(&self.stats.requests);
+            c.requests.bump();
             return Err(RecoilError::config(
                 "parallel_segments",
                 "a client must request at least one decode segment",
             ));
         }
         let Some(item) = self.get(name) else {
-            bump(&self.stats.requests);
+            c.requests.bump();
             return Err(RecoilError::NotFound {
                 name: name.to_string(),
             });
@@ -452,20 +432,16 @@ impl ContentServer {
         let Some(tier) = item.cache.get(segments) else {
             return Ok(None);
         };
-        bump(&self.stats.requests);
-        item.note_hit();
-        let hits = self
-            .stats
-            .cache_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.record_tier_hit(hits, segments);
+        c.requests.bump();
+        c.cache_hits.bump();
+        self.record_tier_hit(item.note_hit(), segments);
         let transmission = Transmission {
             stream_bytes: item.stream.payload_bytes(),
             tier,
             combine_nanos: 0,
             cache_hit: true,
         };
-        add(&self.stats.bytes_served, transmission.total_bytes());
+        c.bytes_served.add(transmission.total_bytes());
         Ok(Some((transmission, item)))
     }
 
@@ -476,23 +452,21 @@ impl ContentServer {
         parallel_segments: u64,
     ) -> Result<Transmission, RecoilError> {
         let stream_bytes = item.stream.payload_bytes();
-        item.note_hit();
+        let phase = item.note_hit();
+        let t = &self.telemetry;
         // Cache by the tier actually served: a request beyond capacity and
         // an exact maximum-capacity request share one entry.
         let segments = parallel_segments.min(item.max_segments());
         if let Some(tier) = item.cache.get(segments) {
-            let hits = self
-                .stats
-                .cache_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.record_tier_hit(hits, segments);
+            t.counters.cache_hits.bump();
+            self.record_tier_hit(phase, segments);
             let transmission = Transmission {
                 stream_bytes,
                 tier,
                 combine_nanos: 0,
                 cache_hit: true,
             };
-            add(&self.stats.bytes_served, transmission.total_bytes());
+            t.counters.bytes_served.add(transmission.total_bytes());
             return Ok(transmission);
         }
         let t0 = Instant::now();
@@ -502,8 +476,8 @@ impl ContentServer {
         // Counted only after the combine succeeds, keeping
         // `cache_hits + cache_misses` equal to successfully served requests
         // even if stored metadata ever fails validation.
-        bump(&self.stats.cache_misses);
-        if let Some(t) = self.tel() {
+        t.counters.cache_misses.bump();
+        if t.counters_enabled() {
             t.hists.tier_miss_segments.record(segments);
             t.hists
                 .combine_ns
@@ -515,7 +489,7 @@ impl ContentServer {
                 metadata,
                 metadata_bytes,
             }),
-            &self.stats,
+            &t.counters.cache_evictions,
         );
         let transmission = Transmission {
             stream_bytes,
@@ -523,41 +497,8 @@ impl ContentServer {
             combine_nanos,
             cache_hit: false,
         };
-        add(&self.stats.bytes_served, transmission.total_bytes());
+        t.counters.bytes_served.add(transmission.total_bytes());
         Ok(transmission)
-    }
-
-    /// Records a transport connection being accepted (bumps the
-    /// `active_connections` gauge). Called by `recoil-net`'s handlers.
-    pub fn connection_opened(&self) {
-        add(&self.stats.active_connections, 1);
-    }
-
-    /// Records a transport connection closing (decrements the gauge).
-    pub fn connection_closed(&self) {
-        self.stats
-            .active_connections
-            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a connection turned away at accept for capacity.
-    pub fn connection_rejected(&self) {
-        bump(&self.stats.rejected_connections);
-    }
-
-    /// Records a connection evicted for missing a progress deadline.
-    pub fn connection_evicted(&self) {
-        bump(&self.stats.evicted_connections);
-    }
-
-    /// Publishes the transport's dispatch-queue depth gauge.
-    pub fn set_queue_depth(&self, depth: u64) {
-        set(&self.stats.queue_depth, depth);
-    }
-
-    /// Publishes the transport's open-connection-slots gauge.
-    pub fn set_open_slots(&self, slots: u64) {
-        set(&self.stats.open_slots, slots);
     }
 
     /// Resolves many `(name, capacity)` pairs concurrently over the
@@ -588,7 +529,7 @@ impl std::fmt::Debug for ContentServer {
             .field("shards", &self.shards.len())
             .field("tier_cache_capacity", &self.tier_cache_capacity)
             .field("batch_threads", &self.pool.threads())
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -773,10 +714,9 @@ mod tests {
         // encoding — observable as exactly one encode_ns sample.
         let data = sample(600_000);
         let server = small_server();
-        let telemetry = Arc::new(recoil_telemetry::Telemetry::new(
-            recoil_telemetry::TelemetryLevel::Counters,
-        ));
-        server.attach_telemetry(Arc::clone(&telemetry));
+        server
+            .telemetry()
+            .set_level(recoil_telemetry::TelemetryLevel::Counters);
         let barrier = std::sync::Barrier::new(2);
         let outcomes: Vec<Result<_, _>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
@@ -796,7 +736,11 @@ mod tests {
             |r| matches!(r, Err(RecoilError::AlreadyPublished { name }) if name == "contested")
         ));
         assert_eq!(
-            telemetry.snapshot().hist("encode_ns").map(|h| h.count),
+            server
+                .telemetry()
+                .snapshot()
+                .hist("encode_ns")
+                .map(|h| h.count),
             Some(1),
             "the losing publish must fail before encoding"
         );
@@ -942,13 +886,12 @@ mod tests {
         assert!(server.request("missing", 2).is_err());
         assert_eq!(server.stats().bytes_served, before);
 
+        // The connection gauge is the registry's, written by a transport.
         assert_eq!(server.stats().active_connections, 0);
-        server.connection_opened();
-        server.connection_opened();
+        let gauge = &server.telemetry().gauges.active_connections;
+        gauge.set(2);
         assert_eq!(server.stats().active_connections, 2);
-        server.connection_closed();
-        assert_eq!(server.stats().active_connections, 1);
-        server.connection_closed();
+        gauge.set(0);
         assert_eq!(server.stats().active_connections, 0);
     }
 
@@ -1002,19 +945,21 @@ mod tests {
 
     #[test]
     fn transport_counters_and_gauges() {
+        // A transport writes these into the server's registry; STATS
+        // renders them.
         let server = small_server();
-        server.connection_rejected();
-        server.connection_rejected();
-        server.connection_evicted();
-        server.set_queue_depth(5);
-        server.set_open_slots(59);
+        let t = server.telemetry();
+        t.counters.rejected_connections.add(2);
+        t.counters.evictions.bump();
+        t.gauges.queue_depth.set(5);
+        t.gauges.open_slots.set(59);
         let s = server.stats();
         assert_eq!(s.rejected_connections, 2);
         assert_eq!(s.evicted_connections, 1);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.open_slots, 59);
         // Gauges move both ways.
-        server.set_queue_depth(0);
+        t.gauges.queue_depth.set(0);
         assert_eq!(server.stats().queue_depth, 0);
     }
 

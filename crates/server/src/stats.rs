@@ -1,72 +1,10 @@
-//! Serving-layer observability: lock-free counters and their snapshot.
+//! Serving-layer observability: the STATS view of the telemetry registry.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Internal counter block; every field is bumped with relaxed atomics on
-/// the hot path (no lock, no contention beyond the cache line).
-#[derive(Debug, Default)]
-pub(crate) struct StatsCounters {
-    pub publishes: AtomicU64,
-    pub requests: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub cache_evictions: AtomicU64,
-    pub bytes_served: AtomicU64,
-    /// Gauge, not a counter: transports increment on accept and decrement
-    /// on close, so the snapshot shows currently open connections.
-    pub active_connections: AtomicU64,
-    pub rejected_connections: AtomicU64,
-    pub evicted_connections: AtomicU64,
-    /// Gauge: requests queued for dispatch workers, published by the
-    /// transport's event loop.
-    pub queue_depth: AtomicU64,
-    /// Gauge: connection slots still available in the transport's slab.
-    pub open_slots: AtomicU64,
-}
-
-impl StatsCounters {
-    /// Point-in-time copy of every counter.
-    ///
-    /// Counters are read individually with relaxed ordering: under load the
-    /// snapshot is not a single global instant, but each value is exact and
-    /// monotone, and once the server quiesces the arithmetic invariants
-    /// hold exactly (`cache_hits + cache_misses` = successfully served
-    /// requests).
-    pub fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            publishes: self.publishes.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            bytes_served: self.bytes_served.load(Ordering::Relaxed),
-            active_connections: self.active_connections.load(Ordering::Relaxed),
-            rejected_connections: self.rejected_connections.load(Ordering::Relaxed),
-            evicted_connections: self.evicted_connections.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            open_slots: self.open_slots.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Stores a gauge's current value (gauges go up *and* down, unlike the
-/// monotone counters).
-pub(crate) fn set(gauge: &AtomicU64, value: u64) {
-    gauge.store(value, Ordering::Relaxed);
-}
-
-/// Bumps one counter by one.
-pub(crate) fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Adds `n` to one counter.
-pub(crate) fn add(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed);
-}
+use recoil_telemetry::Telemetry;
 
 /// A snapshot of the server's serving counters
-/// (see [`crate::ContentServer::stats`]).
+/// (see [`crate::ContentServer::stats`]), rendered from its telemetry
+/// registry: each field reads one registry instrument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Successful content publications.
@@ -82,14 +20,15 @@ pub struct ServerStats {
     /// Total response bytes served (bitstream payload + shrunk metadata)
     /// across every successful request, in-process or over a transport.
     pub bytes_served: u64,
-    /// Currently open transport connections (zero for a purely in-process
-    /// server); maintained by `recoil-net`'s connection handlers.
+    /// Gauge: currently open transport connections (zero for a purely
+    /// in-process server).
     pub active_connections: u64,
     /// Connections turned away at accept because the transport was at its
     /// connection capacity.
     pub rejected_connections: u64,
     /// Connections evicted by the transport for missing a progress
-    /// deadline (slow-loris peers, stalled writes).
+    /// deadline (slow-loris peers, stalled writes); the registry's
+    /// `evictions` counter.
     pub evicted_connections: u64,
     /// Gauge: requests currently queued for the transport's dispatch
     /// workers (zero for a purely in-process server).
@@ -100,6 +39,30 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Reads the STATS instruments of `t`.
+    ///
+    /// Instruments are read individually with relaxed ordering: under load
+    /// the snapshot is not a single global instant, but each counter is
+    /// exact and monotone, and once the server quiesces the arithmetic
+    /// invariants hold exactly (`cache_hits + cache_misses` = successfully
+    /// served requests).
+    pub(crate) fn read(t: &Telemetry) -> Self {
+        let (c, g) = (&t.counters, &t.gauges);
+        Self {
+            publishes: c.publishes.get(),
+            requests: c.requests.get(),
+            cache_hits: c.cache_hits.get(),
+            cache_misses: c.cache_misses.get(),
+            cache_evictions: c.cache_evictions.get(),
+            bytes_served: c.bytes_served.get(),
+            active_connections: g.active_connections.get(),
+            rejected_connections: c.rejected_connections.get(),
+            evicted_connections: c.evictions.get(),
+            queue_depth: g.queue_depth.get(),
+            open_slots: g.open_slots.get(),
+        }
+    }
+
     /// Fraction of served requests answered from the tier cache
     /// (`0.0` when nothing has been served yet).
     pub fn hit_rate(&self) -> f64 {
@@ -129,13 +92,20 @@ mod tests {
 
     #[test]
     fn snapshot_copies_counters() {
-        let c = StatsCounters::default();
-        bump(&c.requests);
-        bump(&c.requests);
-        bump(&c.cache_hits);
-        let s = c.snapshot();
+        let t = Telemetry::off();
+        let c = &t.counters;
+        c.requests.bump();
+        c.requests.bump();
+        c.cache_hits.bump();
+        c.evictions.add(3);
+        c.queue_sheds.bump(); // TELEMETRY-only: not a STATS field
+        t.gauges.active_connections.set(4);
+        let s = ServerStats::read(&t);
         assert_eq!(s.requests, 2);
         assert_eq!(s.cache_hits, 1);
+        assert_eq!(s.evicted_connections, 3);
+        assert_eq!(s.active_connections, 4);
         assert_eq!(s.publishes, 0);
+        assert_eq!(s.rejected_connections, 0);
     }
 }

@@ -19,13 +19,21 @@
 //!   after a stall or an eviction.
 //!
 //! The [`Telemetry`] handle bundles the pipeline's named instruments behind
-//! a [`TelemetryLevel`]:
+//! a [`TelemetryLevel`]. It is the one metrics registry of a serving node:
+//! the content server's STATS view is rendered from it and the TELEMETRY
+//! frame snapshots it, so the two cannot disagree.
 //!
-//! - `Off` — every record call is a single branch on a `Copy` enum; no
-//!   atomics are touched.
-//! - `Counters` — counters, gauges, and histograms record; the trace ring
-//!   stays silent.
+//! - `Off` — only the serving counters and gauges STATS reports record
+//!   (publishes, requests, tier hits/misses/evictions, bytes served,
+//!   connection rejections, queue sheds and evictions; queue depth, open
+//!   slots and active connections). Every other record call is a single
+//!   branch on one relaxed byte load.
+//! - `Counters` — every counter, gauge, and histogram records; the trace
+//!   ring stays silent.
 //! - `Trace` — everything, including the event ring.
+//!
+//! The level can change at run time ([`Telemetry::set_level`]), so a server
+//! owns its registry from construction and a transport raises its level.
 //!
 //! Snapshots ([`Telemetry::snapshot`]) carry stable-ordered name/value
 //! lists and render to a Prometheus-style text exposition via
@@ -34,7 +42,7 @@
 //!
 //! Decode-engine metrics (fast-loop groups vs careful-tail symbols, words
 //! consumed) are process-global by necessity — the rANS kernels know
-//! nothing about servers — and live in [`decode_metrics`]; constructing any
+//! nothing about servers — and live in [`decode_metrics`]; putting any
 //! `Telemetry` handle at `Counters` or above arms them, and snapshots fold
 //! them in under `decode_*` names.
 
@@ -48,7 +56,7 @@ pub use counter::{Counter, Gauge};
 pub use hist::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use trace::{Stage, TraceEvent, TraceRing};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -56,7 +64,8 @@ use std::time::Instant;
 /// below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TelemetryLevel {
-    /// Nothing is recorded; every instrument call is one branch.
+    /// Only the serving counters and the gauges record; every other
+    /// instrument call is one branch.
     #[default]
     Off,
     /// Counters, gauges, and histograms record.
@@ -67,7 +76,7 @@ pub enum TelemetryLevel {
 
 impl TelemetryLevel {
     /// Wire byte for the TELEMETRY reply.
-    pub fn byte(self) -> u8 {
+    pub const fn byte(self) -> u8 {
         match self {
             Self::Off => 0,
             Self::Counters => 1,
@@ -96,8 +105,35 @@ impl TelemetryLevel {
 }
 
 /// Event-count instruments, one per pipeline stage worth counting.
+///
+/// The serving counters, from `publishes` to `evictions`, record at every
+/// level: they are what STATS reports. The rest record at
+/// [`TelemetryLevel::Counters`] and above; their call sites check
+/// [`Telemetry::counters_enabled`].
 #[derive(Debug, Default)]
 pub struct PipelineCounters {
+    /// Successful content publications.
+    pub publishes: Counter,
+    /// Content requests, including ones that returned an error.
+    pub requests: Counter,
+    /// Requests served straight from a content item's tier cache.
+    pub cache_hits: Counter,
+    /// Requests that had to combine (and serialize) metadata on demand.
+    pub cache_misses: Counter,
+    /// Cached tiers dropped to make room for newly served ones.
+    pub cache_evictions: Counter,
+    /// Response bytes served (bitstream payload + shrunk metadata) across
+    /// every successful request.
+    pub bytes_served: Counter,
+    /// Connections turned away at accept because the transport was at its
+    /// connection cap.
+    pub rejected_connections: Counter,
+    /// Requests shed because the dispatch queue was full. With
+    /// `rejected_connections` it makes up the snapshot's `busy_rejections`.
+    pub queue_sheds: Counter,
+    /// Connections evicted for missing a progress deadline (STATS
+    /// `evicted_connections`).
+    pub evictions: Counter,
     /// Complete frames parsed off connections by the reactor.
     pub frames_read: Counter,
     /// Payload + header bytes taken off the wire.
@@ -110,11 +146,6 @@ pub struct PipelineCounters {
     pub write_flushes: Counter,
     /// Bytes pushed onto sockets.
     pub bytes_written: Counter,
-    /// Connections evicted for missing a progress deadline.
-    pub evictions: Counter,
-    /// Requests shed with a typed busy error (connection cap or a full
-    /// dispatch queue) instead of being served.
-    pub busy_rejections: Counter,
     /// Client/router side: fetches re-issued to a replica after the
     /// serving node died mid-stream.
     pub failovers: Counter,
@@ -126,13 +157,16 @@ pub struct PipelineCounters {
     pub replica_promotions: Counter,
 }
 
-/// Point-in-time values published from one place in the reactor loop.
+/// Point-in-time values, recorded at every level. The reactor loop writes
+/// its three from one place, so a snapshot always sees them agree.
 #[derive(Debug, Default)]
 pub struct PipelineGauges {
-    /// Jobs waiting in the dispatch queue, sampled once per loop iteration.
+    /// Jobs waiting in the dispatch queue.
     pub queue_depth: Gauge,
-    /// Free connection slots, sampled at the same point.
+    /// Free connection slots.
     pub open_slots: Gauge,
+    /// Open connections; with `open_slots` it sums to the connection cap.
+    pub active_connections: Gauge,
     /// Router side: fabric nodes currently considered healthy (equals the
     /// node count when no failures have been observed).
     pub healthy_nodes: Gauge,
@@ -154,8 +188,8 @@ pub struct PipelineHistograms {
     /// ns from a write becoming pending to the buffer fully flushing.
     pub write_flush_ns: Histogram,
     /// Segment count of requests that hit the tier cache (sampled 1-in-32
-    /// at [`TelemetryLevel::Counters`]; every hit at `Trace` — exact hit
-    /// counts always live in the server's own stats).
+    /// at [`TelemetryLevel::Counters`]; every hit at `Trace` — the exact
+    /// hit count is the `cache_hits` counter).
     pub tier_hit_segments: Histogram,
     /// Segment count of requests that missed and forced a combine.
     pub tier_miss_segments: Histogram,
@@ -169,7 +203,7 @@ pub struct PipelineHistograms {
 
 /// Process-global decode-engine counters. The rANS kernels are leaf code
 /// with no handle to thread through, so these are armed once (by the first
-/// `Telemetry::new` at `Counters` or above) and folded into every snapshot.
+/// handle put at `Counters` or above) and folded into every snapshot.
 #[derive(Debug, Default)]
 pub struct DecodeMetrics {
     enabled: AtomicBool,
@@ -210,10 +244,12 @@ pub fn decode_metrics() -> &'static DecodeMetrics {
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// The handle a server, client, or bench threads through its pipeline.
-/// Construction fixes the level; instruments no-op below their level.
+/// Instruments below the current level no-op; the serving counters and the
+/// gauges record at every level.
 #[derive(Debug)]
 pub struct Telemetry {
-    level: TelemetryLevel,
+    /// [`TelemetryLevel::byte`] of the current level.
+    level: AtomicU8,
     start: Instant,
     pub counters: PipelineCounters,
     pub gauges: PipelineGauges,
@@ -223,39 +259,49 @@ pub struct Telemetry {
 
 impl Telemetry {
     pub fn new(level: TelemetryLevel) -> Self {
-        if level >= TelemetryLevel::Counters {
-            decode_metrics().enable();
-        }
-        Self {
-            level,
+        let t = Self {
+            level: AtomicU8::new(TelemetryLevel::Off.byte()),
             start: Instant::now(),
             counters: PipelineCounters::default(),
             gauges: PipelineGauges::default(),
             hists: PipelineHistograms::default(),
             trace: TraceRing::with_capacity(DEFAULT_TRACE_CAPACITY),
-        }
+        };
+        t.set_level(level);
+        t
     }
 
-    /// A disabled handle — what `NetConfig::default()` threads through.
+    /// A handle at `Off`: only the serving counters and gauges record.
     pub fn off() -> Self {
         Self::new(TelemetryLevel::Off)
     }
 
     pub fn level(&self) -> TelemetryLevel {
-        self.level
+        TelemetryLevel::from_u8(self.level.load(Ordering::Relaxed)).unwrap_or_default()
     }
 
-    /// Whether counters/gauges/histograms record. Call sites gate `Instant`
-    /// reads on this so `Off` costs one branch, not a clock read.
+    /// Changes the level for every later record call; raising it to
+    /// `Counters` or above arms the global [`decode_metrics`], as
+    /// [`Telemetry::new`] does.
+    pub fn set_level(&self, level: TelemetryLevel) {
+        if level >= TelemetryLevel::Counters {
+            decode_metrics().enable();
+        }
+        self.level.store(level.byte(), Ordering::Relaxed);
+    }
+
+    /// Whether the level-gated counters and the histograms record. Call
+    /// sites gate `Instant` reads on this so `Off` costs one branch, not a
+    /// clock read.
     #[inline]
     pub fn counters_enabled(&self) -> bool {
-        self.level >= TelemetryLevel::Counters
+        self.level.load(Ordering::Relaxed) >= TelemetryLevel::Counters.byte()
     }
 
     /// Whether [`Telemetry::trace`] records.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
-        self.level >= TelemetryLevel::Trace
+        self.level.load(Ordering::Relaxed) >= TelemetryLevel::Trace.byte()
     }
 
     /// Nanoseconds since this handle was created — the trace timebase.
@@ -301,10 +347,23 @@ impl Telemetry {
             ("write_flushes", c.write_flushes.get()),
             ("bytes_written", c.bytes_written.get()),
             ("evictions", c.evictions.get()),
-            ("busy_rejections", c.busy_rejections.get()),
+            (
+                "busy_rejections",
+                c.rejected_connections
+                    .get()
+                    .wrapping_add(c.queue_sheds.get()),
+            ),
             ("failovers", c.failovers.get()),
             ("retries", c.retries.get()),
             ("replica_promotions", c.replica_promotions.get()),
+            ("publishes", c.publishes.get()),
+            ("requests", c.requests.get()),
+            ("cache_hits", c.cache_hits.get()),
+            ("cache_misses", c.cache_misses.get()),
+            ("cache_evictions", c.cache_evictions.get()),
+            ("bytes_served", c.bytes_served.get()),
+            ("rejected_connections", c.rejected_connections.get()),
+            ("queue_sheds", c.queue_sheds.get()),
             ("decode_spans", d.spans.get()),
             ("decode_fast_groups", d.fast_groups.get()),
             ("decode_fast_symbols", d.fast_symbols.get()),
@@ -314,10 +373,12 @@ impl Telemetry {
         .into_iter()
         .map(|(name, v)| (name.to_string(), v))
         .collect();
+        let g = &self.gauges;
         let gauges = vec![
-            ("queue_depth".to_string(), self.gauges.queue_depth.get()),
-            ("open_slots".to_string(), self.gauges.open_slots.get()),
-            ("healthy_nodes".to_string(), self.gauges.healthy_nodes.get()),
+            ("queue_depth".to_string(), g.queue_depth.get()),
+            ("open_slots".to_string(), g.open_slots.get()),
+            ("active_connections".to_string(), g.active_connections.get()),
+            ("healthy_nodes".to_string(), g.healthy_nodes.get()),
         ];
         let h = &self.hists;
         let hists = vec![
@@ -339,7 +400,7 @@ impl Telemetry {
         .map(|(name, s)| (name.to_string(), s))
         .collect();
         TelemetrySnapshot {
-            level: self.level,
+            level: self.level(),
             counters,
             gauges,
             hists,
@@ -496,6 +557,14 @@ mod tests {
             "failovers",
             "retries",
             "replica_promotions",
+            "publishes",
+            "requests",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "bytes_served",
+            "rejected_connections",
+            "queue_sheds",
             "decode_spans",
             "decode_fast_groups",
             "decode_fast_symbols",
@@ -503,6 +572,14 @@ mod tests {
             "decode_words_consumed",
         ] {
             assert!(s.counter(name).is_some(), "missing counter {name}");
+        }
+        for name in [
+            "queue_depth",
+            "open_slots",
+            "active_connections",
+            "healthy_nodes",
+        ] {
+            assert!(s.gauge(name).is_some(), "missing gauge {name}");
         }
         for name in [
             "inline_serve_ns",
@@ -518,6 +595,46 @@ mod tests {
         ] {
             assert!(s.hist(name).is_some(), "missing histogram {name}");
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // Instant::now is unsupported under isolation
+    fn set_level_gates_histograms_but_never_serving_counters() {
+        // A call site as the pipeline writes one: the histogram is gated by
+        // the level, the serving counter is not.
+        let serve = |t: &Telemetry| {
+            t.counters.requests.bump();
+            if t.counters_enabled() {
+                t.hists.encode_ns.record(1000);
+            }
+        };
+        let t = Telemetry::off();
+        serve(&t);
+        t.counters.rejected_connections.bump();
+        t.counters.queue_sheds.add(2);
+        t.gauges.active_connections.set(4);
+        let s = t.snapshot();
+        assert_eq!(s.level, TelemetryLevel::Off);
+        assert_eq!(s.counter("requests"), Some(1));
+        assert_eq!(s.hist("encode_ns").map(|h| h.count), Some(0));
+        assert_eq!(s.counter("busy_rejections"), Some(3));
+        assert_eq!(s.gauge("active_connections"), Some(4));
+
+        t.set_level(TelemetryLevel::Counters);
+        assert!(t.counters_enabled() && !t.trace_enabled());
+        assert!(decode_metrics().enabled());
+        serve(&t);
+        let s = t.snapshot();
+        assert_eq!(s.level, TelemetryLevel::Counters);
+        assert_eq!(s.hist("encode_ns").map(|h| h.count), Some(1));
+        assert_eq!(s.counter("requests"), Some(2));
+
+        t.set_level(TelemetryLevel::Trace);
+        assert_eq!(t.snapshot().level, TelemetryLevel::Trace);
+        t.set_level(TelemetryLevel::Off);
+        assert_eq!(t.level(), TelemetryLevel::Off);
+        t.trace(Stage::FrameRead, 1, 2);
+        assert_eq!(t.trace_recorded(), 0);
     }
 
     #[test]
